@@ -29,7 +29,13 @@
 //!    resolves to that type's `f`. Otherwise — including every
 //!    trait-object and generic dispatch site — the call conservatively
 //!    resolves to **every** impl of `f` in the workspace (the "any
-//!    impl" rule for dynamic dispatch).
+//!    impl" rule for dynamic dispatch), less the methods of inherent
+//!    `impl Type` blocks in crates outside the caller's dependency
+//!    closure: a caller cannot name such a type, and dynamic dispatch
+//!    only ever reaches trait methods. (So `conn.shutdown()` on a
+//!    socket in `net` does not reach `rt`'s `NodeHandle::shutdown`.)
+//!    The simulator's handler names ([`DYN_DISPATCH_NAMES`]) keep every
+//!    impl regardless.
 //! 3. **Bare calls** `f(...)` resolve within the caller's crate and its
 //!    transitive workspace dependencies (a bare name cannot name an
 //!    item from a crate the caller does not depend on); free functions
@@ -420,13 +426,17 @@ impl<'a> CallGraph<'a> {
                         None => Vec::new(),
                     }
                 }
-                CallKind::Method(recv) => self.resolve_method(call, recv.as_deref(), &caller_owner),
+                CallKind::Method(recv) => {
+                    let dynamic = DYN_DISPATCH_NAMES.contains(&call.name.as_str());
+                    self.resolve_method(call, recv.as_deref(), &caller_owner)
+                        .into_iter()
+                        .filter(|&t| dynamic || !self.item(t).inherent || self.in_closure(t, &deps))
+                        .collect()
+                }
                 CallKind::Bare => self
                     .any_named(&call.name)
                     .into_iter()
-                    .filter(|&t| {
-                        self.fns[t].krate.is_empty() || deps.contains(self.fns[t].krate.as_str())
-                    })
+                    .filter(|&t| self.in_closure(t, &deps))
                     .collect(),
             };
             for t in targets {
@@ -487,6 +497,12 @@ impl<'a> CallGraph<'a> {
         // function with this name that is a method of *something*, plus
         // free functions of the name (UFCS).
         self.any_named(&call.name)
+    }
+
+    /// Whether `t` lives in a crate of the dependency closure `deps`
+    /// (files outside `crates/*` count as everywhere).
+    fn in_closure(&self, t: FnId, deps: &BTreeSet<&'static str>) -> bool {
+        self.fns[t].krate.is_empty() || deps.contains(self.fns[t].krate.as_str())
     }
 
     fn any_named(&self, name: &str) -> Vec<FnId> {
@@ -800,6 +816,38 @@ mod tests {
         assert_eq!(g.edges[f].len(), 1);
         let (callee, _) = g.edges[f][0];
         assert_eq!(g.item(callee).owner.as_deref(), Some("Nso"));
+    }
+
+    #[test]
+    fn inherent_methods_outside_the_dep_closure_are_unreachable() {
+        // `net` cannot name `rt`'s `NodeHandle`, so a `shutdown` call on
+        // a socket there must not reach it — but a trait method of the
+        // same name in `rt` stays reachable (dynamic dispatch).
+        let parsed: Vec<ParsedFile> = [
+            (
+                "crates/net/src/tcp.rs",
+                "fn close(conn: &Conn) { conn.shutdown(); }\n\
+                 impl Endpoint { fn shutdown(&mut self) {} }",
+            ),
+            (
+                "crates/rt/src/lib.rs",
+                "impl NodeHandle { fn shutdown(self) {} }\n\
+                 impl Stop for Worker { fn shutdown(&mut self) {} }",
+            ),
+        ]
+        .iter()
+        .map(|(path, src)| parse_file(path, lex(src)))
+        .collect();
+        let g = CallGraph::build(&parsed);
+        let close = (0..g.fns.len())
+            .find(|&id| g.item(id).name == "close")
+            .expect("close is indexed");
+        let mut owners: Vec<String> = g.edges[close]
+            .iter()
+            .filter_map(|&(c, _)| g.item(c).owner.clone())
+            .collect();
+        owners.sort();
+        assert_eq!(owners, ["Endpoint", "Worker"]);
     }
 
     #[test]

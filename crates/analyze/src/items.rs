@@ -16,6 +16,12 @@ pub struct FnItem {
     pub name: String,
     /// The `impl`/`trait` type it is defined on, if any.
     pub owner: Option<String>,
+    /// True for a method of an inherent `impl Type` block (no trait).
+    /// Only crates that can name the type can call it, so call
+    /// resolution never wires it to callers outside its dependents; trait
+    /// methods (`impl Trait for T`, trait defaults) stay reachable from
+    /// anywhere through dynamic dispatch.
+    pub inherent: bool,
     /// Path of the defining file (workspace-relative).
     pub file: String,
     /// 1-based line of the `fn` keyword.
@@ -55,7 +61,7 @@ pub fn parse_file(path: &str, tokens: Vec<Token>) -> ParsedFile {
         fns: &mut fns,
         skipped_macros: &mut skipped_macros,
     };
-    walker.block(0, tokens.len(), None, false);
+    walker.block(0, tokens.len(), None, false, false);
     ParsedFile {
         path: path.to_owned(),
         tokens,
@@ -81,8 +87,16 @@ struct Walker<'a> {
 impl Walker<'_> {
     /// Scans `toks[start..end]` (the interior of one block or the whole
     /// file), registering functions. `owner` is the enclosing impl/trait
-    /// type; `in_test` marks enclosing `#[cfg(test)]` scope.
-    fn block(&mut self, start: usize, end: usize, owner: Option<&str>, in_test: bool) {
+    /// type (`inherent` when it is an `impl Type` block without a trait);
+    /// `in_test` marks enclosing `#[cfg(test)]` scope.
+    fn block(
+        &mut self,
+        start: usize,
+        end: usize,
+        owner: Option<&str>,
+        inherent: bool,
+        in_test: bool,
+    ) {
         let mut i = start;
         let mut pending_test = false;
         while i < end {
@@ -113,6 +127,7 @@ impl Walker<'_> {
                     } else {
                         self.impl_type(i + 1, end)
                     };
+                    let hdr_inherent = t.text == "impl" && !self.impl_has_trait(i + 1, end);
                     // Find the block opener (or `;` for `mod x;` /
                     // `impl Trait for T;`-less declarations).
                     let Some(open) = self.find_block_open(i + 1, end) else {
@@ -120,7 +135,13 @@ impl Walker<'_> {
                         continue;
                     };
                     let close = self.match_brace(open, end);
-                    self.block(open + 1, close, hdr_owner.as_deref(), item_test);
+                    self.block(
+                        open + 1,
+                        close,
+                        hdr_owner.as_deref(),
+                        hdr_inherent,
+                        item_test,
+                    );
                     i = close + 1;
                 }
                 TokKind::Ident if t.text == "fn" => {
@@ -140,6 +161,7 @@ impl Walker<'_> {
                             self.fns.push(FnItem {
                                 name: name_tok.text.clone(),
                                 owner: owner.map(str::to_owned),
+                                inherent: owner.is_some() && inherent,
                                 file: self.path.to_owned(),
                                 line: t.line,
                                 body: (open, close + 1),
@@ -147,7 +169,7 @@ impl Walker<'_> {
                             });
                             // Recurse for nested fns (closures are part of
                             // the parent body either way).
-                            self.block(open + 1, close, owner, item_test);
+                            self.block(open + 1, close, owner, inherent, item_test);
                             i = close + 1;
                         }
                         None => i += 2,
@@ -155,7 +177,7 @@ impl Walker<'_> {
                 }
                 TokKind::Punct if t.text == "{" => {
                     let close = self.match_brace(i, end);
-                    self.block(i + 1, close, owner, in_test);
+                    self.block(i + 1, close, owner, inherent, in_test);
                     i = close + 1;
                 }
                 _ => {
@@ -172,6 +194,32 @@ impl Walker<'_> {
                 }
             }
         }
+    }
+
+    /// Whether the `impl` header starting right after the keyword names a
+    /// trait (`impl Trait for T`): a `for` at angle depth 0 that is not a
+    /// higher-ranked bound (`for<'a>`).
+    fn impl_has_trait(&self, mut i: usize, end: usize) -> bool {
+        let mut angle = 0i32;
+        let mut prev_dash = false;
+        while i < end {
+            let t = &self.toks[i];
+            match t.kind {
+                TokKind::Punct if (t.text == "{" || t.text == ";") && angle == 0 => return false,
+                TokKind::Punct if t.text == "<" => angle += 1,
+                TokKind::Punct if t.text == ">" && !prev_dash => angle -= 1,
+                TokKind::Ident if t.text == "for" && angle == 0 => {
+                    let hrtb = self.toks.get(i + 1).is_some_and(|n| n.is_punct('<'));
+                    if !hrtb {
+                        return true;
+                    }
+                }
+                _ => {}
+            }
+            prev_dash = t.is_punct('-');
+            i += 1;
+        }
+        false
     }
 
     /// The self-type of an `impl`/`trait` header starting right after the
@@ -337,6 +385,32 @@ mod tests {
         assert_eq!(
             names,
             vec![(None, "top"), (Some("S"), "method"), (Some("S"), "clone")]
+        );
+    }
+
+    #[test]
+    fn inherent_impls_are_told_from_trait_impls() {
+        let f = parse(
+            "impl S { fn a(&self) {} }\n\
+             impl Clone for S { fn clone(&self) -> S { S } }\n\
+             impl<F> W<F> where F: for<'x> Fn(&'x u8) { fn b(&self) {} }\n\
+             trait T { fn c(&self) {} }\n\
+             fn d() {}",
+        );
+        let inherent: Vec<(&str, bool)> = f
+            .fns
+            .iter()
+            .map(|i| (i.name.as_str(), i.inherent))
+            .collect();
+        assert_eq!(
+            inherent,
+            [
+                ("a", true),
+                ("clone", false),
+                ("b", true),
+                ("c", false),
+                ("d", false)
+            ]
         );
     }
 

@@ -12,6 +12,10 @@
 //!
 //! `scripts/bench_snapshot.sh` redirects this into `BENCH_PR2.json`.
 //! `NEWTOP_BENCH_SEED` varies the simulation seed (default 2000).
+//!
+//! With `--gate` it runs only the LAN cell and exits non-zero if the
+//! mean is over the 3.71 ms anchor or if the unloaded run shed any
+//! multicast (`scripts/check.sh` runs this as its `bench_gate` step).
 
 use std::time::Instant;
 
@@ -110,8 +114,12 @@ fn measure_per_recipient(msg: &GcsMessage) -> f64 {
     ITERS as f64 / secs
 }
 
+/// The NewTop LAN call anchor (EXPERIMENTS.md), in milliseconds.
+const ANCHOR_MS: f64 = 3.71;
+
 fn main() {
     let seed = bench_seed();
+    let gate = std::env::args().skip(1).any(|a| a == "--gate");
 
     // LAN closed-group invocation latency, 1 client (anchor: 3.2 ms,
     // must stay under the 3.71 ms NewTop LAN anchor).
@@ -120,6 +128,20 @@ fn main() {
         ..RequestReplyScenario::paper_default(Placement::AllLan, 1, seed)
     });
     let closed_ms = closed.mean_response.as_secs_f64() * 1e3;
+    let shed = closed.counts.flow_shed;
+
+    if gate {
+        println!(
+            "bench_gate: seed {seed} LAN closed call {closed_ms:.3} ms (anchor {ANCHOR_MS} ms), \
+             {} calls, {shed} sheds",
+            closed.completed
+        );
+        if closed_ms > ANCHOR_MS || shed > 0 || closed.completed == 0 {
+            eprintln!("bench_gate: FAILED");
+            std::process::exit(1);
+        }
+        return;
+    }
 
     let msg = wire_msg();
     let once = measure_encode_once(&msg);
@@ -132,7 +154,8 @@ fn main() {
     println!("    \"clients\": 1,");
     println!("    \"mean_response_ms\": {closed_ms:.3},");
     println!("    \"completed\": {},", closed.completed);
-    println!("    \"anchor_ms\": 3.71");
+    println!("    \"flow_shed\": {shed},");
+    println!("    \"anchor_ms\": {ANCHOR_MS}");
     println!("  }},");
     println!("  \"fanout_encode\": {{");
     println!("    \"group_size\": {GROUP_SIZE},");

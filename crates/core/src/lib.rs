@@ -92,6 +92,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::let_underscore_must_use)]
 #![forbid(unsafe_code)]
 
 pub mod control;

@@ -26,7 +26,7 @@ use newtop_net::sim::Outbox;
 use newtop_net::site::NodeId;
 use newtop_net::time::SimTime;
 
-use crate::nso::{BindOptions, BindTarget, GroupHandle, Nso, NsoOutput};
+use crate::nso::{BindOptions, BindTarget, GroupHandle, NewtopError, Nso, NsoOutput};
 use crate::tags;
 
 /// How the proxy attaches to the service.
@@ -220,8 +220,9 @@ impl SmartProxy {
         out: &mut Outbox,
     ) {
         // The NSO's client core allocates its own call numbers; the proxy
-        // maps them back to its own. (`invoke` only fails if the binding
-        // raced away — the call is then re-queued.)
+        // maps them back to its own. (`invoke` fails if the binding raced
+        // away or the call was shed — it is then re-queued, and the next
+        // bind or retry tick issues it again.)
         match binding.invoke(nso, &call.op, call.args.clone(), call.mode, now, out) {
             Ok(id) => {
                 self.outstanding
@@ -305,10 +306,23 @@ impl SmartProxy {
                 .map(|(&n, _)| n)
                 .collect();
             for number in stalled {
-                let _ = binding.retry(nso, number, now, out);
-                if let Some(entry) = self.outstanding.get_mut(&number) {
-                    entry.1 = now;
+                match binding.retry(nso, number, now, out) {
+                    // Shed: the call is still pending; the next tick
+                    // tries again.
+                    Err(NewtopError::Overloaded(_)) => {}
+                    // Sent — or the binding raced away, and the rebind
+                    // that follows retries every outstanding call.
+                    Ok(()) | Err(_) => {
+                        if let Some(entry) = self.outstanding.get_mut(&number) {
+                            entry.1 = now;
+                        }
+                    }
                 }
+            }
+            // Calls shed at issue go out again.
+            let queued = std::mem::take(&mut self.queued);
+            for (number, call) in queued {
+                self.issue(nso, &binding, number, &call, now, out);
             }
         }
         out.set_timer(self.retry_interval, Self::TICKER_TAG);

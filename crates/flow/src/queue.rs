@@ -15,8 +15,10 @@
 //!   Used where the producer can afford to wait and loss is worse than
 //!   latency (the TCP reader thread).
 //!
-//! Receivers implement the same `poll_for_select` probe as the vendored
-//! crossbeam receiver, so they compose with its `select!` macro.
+//! A consumer that waits on several sources at once funnels them into
+//! one queue and blocks on [`Receiver::recv_timeout`] (the threaded
+//! runtime's event loop does this with its packets, commands and stop
+//! signal).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,6 +133,12 @@ struct Inner<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Receivers blocked on `not_empty`, and senders blocked on
+    /// `not_full`. A condvar notify is a system call even with nobody
+    /// waiting, so a push or pop notifies only when someone is; both
+    /// counts change under the lock, so no wake-up is lost.
+    receivers_waiting: usize,
+    senders_waiting: usize,
 }
 
 struct Shared<T> {
@@ -146,11 +154,34 @@ impl<T> Shared<T> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn push(&self, inner: &mut Inner<T>, value: T) {
+    /// Enqueues `value` and releases the lock before waking a blocked
+    /// receiver, so the receiver does not wake only to wait for the lock.
+    fn push<'a>(&'a self, mut inner: MutexGuard<'a, Inner<T>>, value: T) {
         inner.queue.push_back(value);
         let depth = inner.queue.len() as u64;
         self.stats.peak_depth.fetch_max(depth, Ordering::Relaxed);
-        self.not_empty.notify_one();
+        let wake = inner.receivers_waiting > 0;
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Dequeues the head, if any, waking a blocked sender after the lock
+    /// is released.
+    fn pop<'a>(
+        &'a self,
+        mut inner: MutexGuard<'a, Inner<T>>,
+    ) -> Result<T, MutexGuard<'a, Inner<T>>> {
+        let Some(v) = inner.queue.pop_front() else {
+            return Err(inner);
+        };
+        let wake = inner.senders_waiting > 0;
+        drop(inner);
+        if wake {
+            self.not_full.notify_one();
+        }
+        Ok(v)
     }
 }
 
@@ -173,6 +204,8 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             senders: 1,
             receivers: 1,
+            receivers_waiting: 0,
+            senders_waiting: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -233,7 +266,7 @@ impl<T> Sender<T> {
     /// in [`QueueStats::shed`]) and returns it in
     /// [`TrySendError::Full`].
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut inner = self.shared.lock();
+        let inner = self.shared.lock();
         if inner.receivers == 0 {
             return Err(TrySendError::Disconnected(value));
         }
@@ -241,7 +274,7 @@ impl<T> Sender<T> {
             self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
             return Err(TrySendError::Full(value));
         }
-        self.shared.push(&mut inner, value);
+        self.shared.push(inner, value);
         Ok(())
     }
 
@@ -256,16 +289,18 @@ impl<T> Sender<T> {
             if inner.receivers == 0 {
                 return Err(SendError(value));
             }
+            inner.senders_waiting += 1;
             inner = self
                 .shared
                 .not_full
                 .wait(inner)
                 .unwrap_or_else(|e| e.into_inner());
+            inner.senders_waiting -= 1;
         }
         if inner.receivers == 0 {
             return Err(SendError(value));
         }
-        self.shared.push(&mut inner, value);
+        self.shared.push(inner, value);
         Ok(())
     }
 
@@ -302,18 +337,20 @@ impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut inner = self.shared.lock();
         loop {
-            if let Some(v) = inner.queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
+            inner = match self.shared.pop(inner) {
+                Ok(v) => return Ok(v),
+                Err(inner) => inner,
+            };
             if inner.senders == 0 {
                 return Err(RecvError);
             }
+            inner.receivers_waiting += 1;
             inner = self
                 .shared
                 .not_empty
                 .wait(inner)
                 .unwrap_or_else(|e| e.into_inner());
+            inner.receivers_waiting -= 1;
         }
     }
 
@@ -322,22 +359,24 @@ impl<T> Receiver<T> {
         let deadline = Instant::now() + timeout;
         let mut inner = self.shared.lock();
         loop {
-            if let Some(v) = inner.queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
+            inner = match self.shared.pop(inner) {
+                Ok(v) => return Ok(v),
+                Err(inner) => inner,
+            };
             if inner.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 return Err(RecvTimeoutError::Timeout);
             };
+            inner.receivers_waiting += 1;
             let (guard, res) = self
                 .shared
                 .not_empty
                 .wait_timeout(inner, remaining)
                 .unwrap_or_else(|e| e.into_inner());
             inner = guard;
+            inner.receivers_waiting -= 1;
             if res.timed_out() && inner.queue.is_empty() {
                 return Err(RecvTimeoutError::Timeout);
             }
@@ -346,15 +385,11 @@ impl<T> Receiver<T> {
 
     /// Receives without blocking.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut inner = self.shared.lock();
-        if let Some(v) = inner.queue.pop_front() {
-            self.shared.not_full.notify_one();
-            return Ok(v);
+        match self.shared.pop(self.shared.lock()) {
+            Ok(v) => Ok(v),
+            Err(inner) if inner.senders == 0 => Err(TryRecvError::Disconnected),
+            Err(_) => Err(TryRecvError::Empty),
         }
-        if inner.senders == 0 {
-            return Err(TryRecvError::Disconnected);
-        }
-        Err(TryRecvError::Empty)
     }
 
     /// Drains currently queued messages without blocking.
@@ -380,18 +415,6 @@ impl<T> Receiver<T> {
         QueueStats {
             cells: Arc::clone(&self.shared.stats),
             capacity: self.shared.capacity,
-        }
-    }
-
-    /// Polls once for the vendored crossbeam `select!` macro:
-    /// `Some(Ok(v))` on a message, `Some(Err(_))` on disconnect, `None`
-    /// when empty.
-    #[doc(hidden)]
-    pub fn poll_for_select(&self) -> Option<Result<T, RecvError>> {
-        match self.try_recv() {
-            Ok(v) => Some(Ok(v)),
-            Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
-            Err(TryRecvError::Empty) => None,
         }
     }
 }
@@ -483,13 +506,13 @@ mod tests {
     }
 
     #[test]
-    fn poll_for_select_matches_crossbeam_contract() {
+    fn try_recv_reports_empty_then_value_then_disconnect() {
         let (tx, rx) = bounded(1);
-        assert_eq!(rx.poll_for_select(), None);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         tx.send(7).unwrap();
-        assert_eq!(rx.poll_for_select(), Some(Ok(7)));
+        assert_eq!(rx.try_recv(), Ok(7));
         drop(tx);
-        assert_eq!(rx.poll_for_select(), Some(Err(RecvError)));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]

@@ -471,6 +471,16 @@ impl DeliveryEngine {
             .any(|t| t.buffer.keys().any(|&s| s > t.delivered))
     }
 
+    /// True while this member holds any message not yet known to be
+    /// stable (received by every member) — the messages still "in
+    /// flight" in the paper's sense. Delivered-and-stable messages are
+    /// dropped by [`Self::gc_stable`], so this is just "the buffer is not
+    /// empty".
+    #[must_use]
+    pub fn has_unstable(&self) -> bool {
+        self.senders.values().any(|t| !t.buffer.is_empty())
+    }
+
     /// Delivers everything currently deliverable, in order. The returned
     /// messages are `Arc` clones of the buffered copies — no payload is
     /// duplicated.

@@ -8,29 +8,40 @@
 use std::fmt;
 use std::time::Duration;
 
+use newtop_net::trace::GroupName;
 use newtop_orb::cdr::{CdrDecode, CdrDecoder, CdrEncode, CdrEncoder, CdrError};
 
 /// Names a group. Members of the same group use the same id everywhere.
+///
+/// The name is shared: cloning an id (which the protocol does for every
+/// message, timer and trace record) bumps a refcount instead of copying
+/// the string.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct GroupId(String);
+pub struct GroupId(GroupName);
 
 impl GroupId {
     /// Creates a group id from a name.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
-        GroupId(name.into())
+        GroupId(GroupName::new(name))
     }
 
     /// The name as a string.
     #[must_use]
     pub fn as_str(&self) -> &str {
-        &self.0
+        self.0.as_str()
+    }
+
+    /// The shared name, as trace records carry it (no allocation).
+    #[must_use]
+    pub fn name(&self) -> GroupName {
+        self.0.clone()
     }
 }
 
 impl fmt::Display for GroupId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -42,19 +53,19 @@ impl From<&str> for GroupId {
 
 impl From<String> for GroupId {
     fn from(s: String) -> Self {
-        GroupId(s)
+        GroupId::new(s)
     }
 }
 
 impl CdrEncode for GroupId {
     fn encode(&self, enc: &mut CdrEncoder) {
-        enc.write_string(&self.0);
+        enc.write_string(self.as_str());
     }
 }
 
 impl CdrDecode for GroupId {
     fn decode(dec: &mut CdrDecoder<'_>) -> Result<Self, CdrError> {
-        Ok(GroupId(dec.read_string()?))
+        Ok(GroupId::new(dec.read_string()?))
     }
 }
 

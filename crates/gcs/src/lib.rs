@@ -34,6 +34,7 @@
 //! view).
 
 #![warn(missing_docs)]
+#![warn(clippy::let_underscore_must_use)]
 #![forbid(unsafe_code)]
 
 pub mod clock;

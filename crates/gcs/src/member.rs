@@ -33,7 +33,7 @@ use newtop_net::metrics::Observability;
 use newtop_net::sim::Outbox;
 use newtop_net::site::NodeId;
 use newtop_net::time::SimTime;
-use newtop_net::trace::TraceEvent;
+use newtop_net::trace::{TraceEvent, TraceLog};
 use newtop_orb::cdr::CdrEncode;
 use newtop_orb::ior::{ObjectKey, ObjectRef};
 use newtop_orb::orb::OrbCore;
@@ -41,7 +41,7 @@ use newtop_orb::orb::OrbCore;
 use newtop_flow::FlowController;
 
 use crate::clock::{DepsVector, LamportClock};
-use crate::engine::{DeliveryEngine, EngineConfig};
+use crate::engine::{DeliveryEngine, EngineConfig, Ingest};
 use crate::group::{DeliveryOrder, GroupConfig, GroupId, Liveness, OrderProtocol};
 use crate::messages::{ContigVector, DataMsg, GcsMessage, NullMsg};
 use crate::view::{View, ViewId};
@@ -200,6 +200,9 @@ pub struct GcsNet<'a> {
     staging: Staging<'a>,
     batch_frames: u64,
     batch_msgs: u64,
+    /// The host's trace ring, when it keeps one ring for the whole node;
+    /// without one, the member records into its own.
+    trace: Option<&'a mut TraceLog>,
 }
 
 impl<'a> GcsNet<'a> {
@@ -224,18 +227,22 @@ impl<'a> GcsNet<'a> {
             staging: Staging::Inline(SendBuffer::new()),
             batch_frames: 0,
             batch_msgs: 0,
+            trace: None,
         }
     }
 
     /// Creates a context staging into the host's persistent `buf`, so
     /// messages from several handler events coalesce until the host's
     /// flush timer fires. The host is responsible for eventually calling
-    /// [`Self::flush`] on a context over the same buffer.
+    /// [`Self::flush`] on a context over the same buffer. Protocol events
+    /// go to the host's `trace` ring (their `ev.*` counters stay with the
+    /// member).
     pub fn with_buffer(
         orb: &'a mut OrbCore,
         out: &'a mut Outbox,
         batching: bool,
         buf: &'a mut SendBuffer,
+        trace: &'a mut TraceLog,
     ) -> Self {
         GcsNet {
             orb,
@@ -247,6 +254,7 @@ impl<'a> GcsNet<'a> {
             staging: Staging::Host(buf),
             batch_frames: 0,
             batch_msgs: 0,
+            trace: Some(trace),
         }
     }
 
@@ -356,6 +364,15 @@ impl<'a> GcsNet<'a> {
                 &frame,
                 self.out,
             );
+        }
+    }
+
+    /// Counts `event` in `obs` and appends it to the node's trace ring:
+    /// the host's, when this context carries one, else `obs`'s own.
+    fn record(&mut self, obs: &mut Observability, at: SimTime, event: TraceEvent) {
+        match self.trace.as_deref_mut() {
+            Some(ring) => obs.record_into(ring, at, event),
+            None => obs.record(at, event),
         }
     }
 
@@ -486,6 +503,11 @@ struct GroupState {
     /// Credit-based send window for this group (see `newtop_flow`):
     /// reset per view, replenished by the piggybacked ack vectors.
     flow: FlowController<NodeId>,
+    /// Data messages taken in from other members since this member last
+    /// sent anything carrying its ack vector (a Data or Null message; a
+    /// sequencer's `SeqOrder` carries none). At half a flow window the
+    /// ack rule sends a standalone ack (see [`GcsMember::maybe_ack`]).
+    unacked_rx: u64,
 }
 
 impl GroupState {
@@ -708,14 +730,16 @@ impl GcsMember {
             order_flush_scheduled: false,
             queued_multicasts: Vec::new(),
             flow,
+            unacked_rx: 0,
         };
         self.groups.insert(group.clone(), state);
-        self.obs.record(
+        net.record(
+            &mut self.obs,
             now,
             TraceEvent::ViewInstalled {
-                group: group.as_str().to_string(),
+                group: group.name(),
                 view: view.id().0,
-                members: view.len(),
+                members: u32::try_from(view.len()).unwrap_or(u32::MAX),
             },
         );
         self.ensure_liveness(&group, now, net);
@@ -782,6 +806,7 @@ impl GcsMember {
                 order_flush_scheduled: false,
                 queued_multicasts: Vec::new(),
                 flow,
+                unacked_rx: 0,
             },
         );
         net.send(
@@ -919,6 +944,7 @@ impl GcsMember {
         let _ = state.engine.ingest_data(msg);
         state.last_sent = now;
         state.last_activity = now;
+        state.unacked_rx = 0;
         self.ensure_liveness(group, now, net);
         Ok(())
     }
@@ -945,12 +971,13 @@ impl GcsMember {
             }
             return outputs;
         }
-        let Some(group) = msg.group().cloned() else {
+        // Handlers work with the group's own id rather than the decoded
+        // copy, so the timers and trace records they create share the
+        // one name allocated when this node took up the group.
+        let Some((group, _)) = msg.group().and_then(|g| self.groups.get_key_value(g)) else {
             return Vec::new();
         };
-        if !self.groups.contains_key(&group) {
-            return Vec::new();
-        }
+        let group = group.clone();
         match msg {
             // Handled above; an inner batch cannot decode (nesting is a
             // wire error), so this arm is dead but must stay panic-free.
@@ -1027,16 +1054,17 @@ impl GcsMember {
         let Some(route) = self.timer_routes.remove(&tag) else {
             return Vec::new();
         };
-        if !self.groups.contains_key(&route.group) {
+        let Some((group, _)) = self.groups.get_key_value(&route.group) else {
             return Vec::new();
-        }
+        };
+        let group = group.clone();
         match route.kind {
-            TimerKind::Null => self.on_null_timer(&route.group, now, net),
-            TimerKind::Suspicion => self.on_suspicion_timer(&route.group, now, net),
-            TimerKind::NackScan => self.on_nack_timer(&route.group, now, net),
-            TimerKind::ViewChange => self.on_vc_timer(&route.group, route.stamp, now, net),
-            TimerKind::JoinRetry => self.on_join_retry(&route.group, now, net),
-            TimerKind::OrderFlush => self.on_order_flush_timer(&route.group, now, net),
+            TimerKind::Null => self.on_null_timer(&group, now, net),
+            TimerKind::Suspicion => self.on_suspicion_timer(&group, now, net),
+            TimerKind::NackScan => self.on_nack_timer(&group, now, net),
+            TimerKind::ViewChange => self.on_vc_timer(&group, route.stamp, now, net),
+            TimerKind::JoinRetry => self.on_join_retry(&group, now, net),
+            TimerKind::OrderFlush => self.on_order_flush_timer(&group, now, net),
         }
         std::mem::take(&mut self.pending)
     }
@@ -1074,8 +1102,60 @@ impl GcsMember {
         if let Some(&(_, upto)) = d.acks.iter().find(|(n, _)| *n == self.node) {
             state.flow.on_ack(d.sender, upto);
         }
-        let _ = state.engine.ingest_data(d);
+        let from_other = d.sender != self.node;
+        if state.engine.ingest_data(d) == Ingest::Accepted && from_other {
+            state.unacked_rx += 1;
+        }
         self.after_ingest(group, now, net);
+        self.maybe_ack(group, now, net);
+    }
+
+    /// The ack rule. Credits in a sender's flow window come back only on
+    /// ack vectors, and those ride on Data and Null messages. A member
+    /// that only receives — a server in a closed binding replies point to
+    /// point, and an event-driven group sends few nulls — would hold a
+    /// lone sender's credits until its next time-silence null, or, as a
+    /// sequencer whose `SeqOrder`s keep resetting its silence clock,
+    /// indefinitely. So once a member has taken in half a window of
+    /// others' data since it last sent its ack vector, it sends one
+    /// standalone ack at once: an ordinary `NullMsg`.
+    fn maybe_ack(&mut self, group: &GroupId, now: SimTime, net: &mut GcsNet<'_>) {
+        let due = self
+            .groups
+            .get(group)
+            .is_some_and(|s| s.unacked_rx >= (s.config.flow_window / 2).max(1));
+        if due {
+            self.send_null(group, now, net);
+            self.obs.metrics.incr("gcs.acks_sent");
+        }
+    }
+
+    /// Multicasts a `NullMsg` carrying this member's ack vector to the
+    /// rest of the view.
+    fn send_null(&mut self, group: &GroupId, now: SimTime, net: &mut GcsNet<'_>) {
+        let node = self.node;
+        let lamport = self.clock.tick();
+        let Some(state) = self.groups.get_mut(group) else {
+            return;
+        };
+        let msg = GcsMessage::Null(NullMsg {
+            group: group.clone(),
+            view: state.view.id(),
+            sender: node,
+            lamport,
+            last_seq: state.next_seq - 1,
+            acks: state.engine.contig_vector(),
+        });
+        let targets: Vec<NodeId> = state
+            .view
+            .members()
+            .iter()
+            .copied()
+            .filter(|&m| m != node)
+            .collect();
+        net.send_fanout(state.config.fanout, targets, &msg);
+        state.last_sent = now;
+        state.unacked_rx = 0;
     }
 
     fn on_null(&mut self, group: &GroupId, n: NullMsg, now: SimTime, net: &mut GcsNet<'_>) {
@@ -1185,10 +1265,11 @@ impl GcsMember {
             }
         }
         if served > 0 {
-            self.obs.record(
+            net.record(
+                &mut self.obs,
                 now,
                 TraceEvent::Retransmit {
-                    group: group.as_str().to_string(),
+                    group: group.name(),
                     to: from,
                     count: served,
                 },
@@ -1696,18 +1777,20 @@ impl GcsMember {
         state.vc = None;
         state.last_activity = now;
         state.liveness_running = false;
+        state.unacked_rx = 0;
         state.pending_order.clear();
         state.order_flush_scheduled = false;
         // A newer view supersedes any install this member coordinated
         // earlier (keep it only if it IS this install, set right after).
         state.last_install = None;
         let more_joiners = !state.joiners.is_empty();
-        self.obs.record(
+        net.record(
+            &mut self.obs,
             now,
             TraceEvent::ViewInstalled {
-                group: group.as_str().to_string(),
+                group: group.name(),
                 view: view.id().0,
-                members: view.len(),
+                members: u32::try_from(view.len()).unwrap_or(u32::MAX),
             },
         );
         self.pending.push(GcsOutput::ViewInstalled {
@@ -1724,7 +1807,12 @@ impl GcsMember {
             None => Vec::new(),
         };
         for (order, payload) in queued {
-            let _ = self.multicast(group, order, payload, now, net);
+            // The new view's window can be short of credits for the whole
+            // backlog; what it sheds is counted (each shed also counts
+            // in `flow.shed`) and left to the senders' own retries.
+            if self.multicast(group, order, payload, now, net).is_err() {
+                self.obs.metrics.incr("gcs.queued_shed");
+            }
         }
         if more_joiners {
             self.initiate_view_change(group, now, net);
@@ -1734,7 +1822,6 @@ impl GcsMember {
     // --- timers ------------------------------------------------------------------
 
     fn on_null_timer(&mut self, group: &GroupId, now: SimTime, net: &mut GcsNet<'_>) {
-        let node = self.node;
         if !self.should_run_liveness(group, now) {
             if let Some(state) = self.groups.get_mut(group) {
                 state.liveness_running = false;
@@ -1749,31 +1836,12 @@ impl GcsMember {
             return;
         };
         if now.saturating_since(last_sent) >= period {
-            let lamport = self.clock.tick();
-            let Some(state) = self.groups.get_mut(group) else {
-                return;
-            };
-            let msg = GcsMessage::Null(NullMsg {
-                group: group.clone(),
-                view: state.view.id(),
-                sender: node,
-                lamport,
-                last_seq: state.next_seq - 1,
-                acks: state.engine.contig_vector(),
-            });
-            let targets: Vec<NodeId> = state
-                .view
-                .members()
-                .iter()
-                .copied()
-                .filter(|&m| m != node)
-                .collect();
-            net.send_fanout(state.config.fanout, targets, &msg);
-            state.last_sent = now;
-            self.obs.record(
+            self.send_null(group, now, net);
+            net.record(
+                &mut self.obs,
                 now,
                 TraceEvent::TimeSilenceNull {
-                    group: group.as_str().to_string(),
+                    group: group.name(),
                 },
             );
         }
@@ -1805,10 +1873,11 @@ impl GcsMember {
         }
         let period = state.config.time_silence;
         for &suspect in &newly_suspected {
-            self.obs.record(
+            net.record(
+                &mut self.obs,
                 now,
                 TraceEvent::Suspected {
-                    group: group.as_str().to_string(),
+                    group: group.name(),
                     suspect,
                 },
             );
@@ -1842,10 +1911,11 @@ impl GcsMember {
                     to_seq: to,
                 },
             );
-            self.obs.record(
+            net.record(
+                &mut self.obs,
                 now,
                 TraceEvent::NackSent {
-                    group: group.as_str().to_string(),
+                    group: group.name(),
                     to: sender,
                     count: (to.saturating_sub(from) + 1) as usize,
                 },
@@ -1912,10 +1982,11 @@ impl GcsMember {
                 for m in missing {
                     if m != node && state.suspects.insert(m) {
                         state.joiners.remove(&m);
-                        self.obs.record(
+                        net.record(
+                            &mut self.obs,
                             now,
                             TraceEvent::Suspected {
-                                group: group.as_str().to_string(),
+                                group: group.name(),
                                 suspect: m,
                             },
                         );
@@ -1965,10 +2036,11 @@ impl GcsMember {
                 }
                 // The coordinator went quiet: suspect it and re-run.
                 if state.suspects.insert(coordinator) {
-                    self.obs.record(
+                    net.record(
+                        &mut self.obs,
                         now,
                         TraceEvent::Suspected {
-                            group: group.as_str().to_string(),
+                            group: group.name(),
                             suspect: coordinator,
                         },
                     );
@@ -1995,10 +2067,11 @@ impl GcsMember {
                     .collect();
                 if let Some(&coord) = alive.first() {
                     if coord != node && state.suspects.insert(coord) {
-                        self.obs.record(
+                        net.record(
+                            &mut self.obs,
                             now,
                             TraceEvent::Suspected {
-                                group: group.as_str().to_string(),
+                                group: group.name(),
                                 suspect: coord,
                             },
                         );
@@ -2042,10 +2115,11 @@ impl GcsMember {
             .collect();
         net.send_fanout(state.config.fanout, targets, &wire);
         state.last_sent = now;
-        self.obs.record(
+        net.record(
+            &mut self.obs,
             now,
             TraceEvent::SequencerBatch {
-                group: group.as_str().to_string(),
+                group: group.name(),
                 records,
             },
         );
@@ -2096,8 +2170,14 @@ impl GcsMember {
         }
         match state.config.liveness {
             Liveness::Lively => true,
+            // Messages in flight keep the machinery on: undelivered ones,
+            // and delivered ones not yet known to be stable. The second
+            // keeps a crashed member suspectable when a sender stalls on
+            // its frozen ack floor after the linger has run out, and it
+            // keeps the nulls going that carry the last acks.
             Liveness::EventDriven => {
                 state.engine.has_undelivered()
+                    || state.engine.has_unstable()
                     || state.vc.is_some()
                     || now.saturating_since(state.last_activity)
                         < state.config.time_silence * EVENT_DRIVEN_LINGER

@@ -348,7 +348,8 @@ impl ShardedGcs {
     #[must_use]
     pub fn flow_of(&self, group: &GroupId) -> Option<&FlowController<NodeId>> {
         self.shard_of(group)
-            .and_then(|s| self.shards[s].flow_of(group))
+            .and_then(|s| self.shards.get(s))
+            .and_then(|shard| shard.flow_of(group))
     }
 
     /// Mutable flow-control access (recovery replay admission).

@@ -249,6 +249,9 @@ impl SimNode for GcsNode {
                             config,
                             contact,
                         } => {
+                            // Scripted plans may join twice; the refusal is
+                            // the expected outcome and changes no state.
+                            #[allow(clippy::let_underscore_must_use)]
                             let _ = self.gcs.join_group(group, config, contact, now, &mut net);
                             Vec::new()
                         }
@@ -261,6 +264,11 @@ impl SimNode for GcsNode {
                             order,
                             payload,
                         } => {
+                            // A scripted send the member refuses (shed or not
+                            // yet a member) is visible to the scenario through
+                            // the member's `flow.shed` count and the missing
+                            // delivery; the harness has no caller to tell.
+                            #[allow(clippy::let_underscore_must_use)]
                             let _ = self.gcs.multicast(&group, order, payload, now, &mut net);
                             Vec::new()
                         }

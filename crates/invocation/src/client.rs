@@ -236,6 +236,17 @@ impl ClientCore {
         Ok((call, commands, events))
     }
 
+    /// Takes back the call [`Self::invoke`] just issued, whose request
+    /// never left the node (the group layer shed its multicast): nothing
+    /// stays pending for it, and since no server can have seen its
+    /// number, the next call reuses it.
+    pub fn abandon(&mut self, call_number: u64) {
+        self.calls.remove(&call_number);
+        if call_number + 1 == self.next_call {
+            self.next_call = call_number;
+        }
+    }
+
     /// Re-issues a pending call over `group` (typically a fresh binding
     /// after a rebind), keeping the same call number so servers can
     /// deduplicate (§4.1).
@@ -587,6 +598,23 @@ mod tests {
         };
         assert_eq!(c2, call, "same call number after rebind");
         assert_eq!(op, "op");
+    }
+
+    #[test]
+    fn abandoned_call_leaves_nothing_pending_and_its_number_is_reused() {
+        let mut c = closed_client();
+        let (first, _, _) = c
+            .invoke(&gid(), "op", Bytes::new(), ReplyMode::All)
+            .unwrap();
+        let (shed, _, _) = c
+            .invoke(&gid(), "op", Bytes::new(), ReplyMode::All)
+            .unwrap();
+        c.abandon(shed.number);
+        assert_eq!(c.pending_calls(), vec![first.number]);
+        let (next, _, _) = c
+            .invoke(&gid(), "op", Bytes::new(), ReplyMode::All)
+            .unwrap();
+        assert_eq!(next.number, shed.number);
     }
 
     #[test]

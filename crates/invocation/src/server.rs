@@ -327,7 +327,7 @@ impl ServerCore {
             }
         }
         self.events.push(TraceEvent::Promoted {
-            group: self.server_group.as_str().to_string(),
+            group: self.server_group.name(),
             replayed: count,
         });
         count

@@ -86,4 +86,4 @@ pub use metrics::{MetricRegistry, MetricsSnapshot, Observability};
 pub use sim::{NodeEvent, Outbox, Packet, Sim, SimConfig, SimNode, TimerId};
 pub use site::{NodeId, Site};
 pub use time::SimTime;
-pub use trace::{TraceEvent, TraceLog, TraceRecord};
+pub use trace::{GroupName, TraceEvent, TraceLog, TraceRecord};

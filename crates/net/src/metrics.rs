@@ -223,8 +223,16 @@ impl Observability {
     /// The counter is exact for the node's lifetime; the trace ring may
     /// drop old records under sustained load.
     pub fn record(&mut self, at: SimTime, event: TraceEvent) {
-        self.metrics.incr(&format!("ev.{}", event.kind()));
+        self.metrics.incr(event.counter());
         self.trace.record(at, event);
+    }
+
+    /// Like [`Self::record`], but appends to `ring` — another owner's
+    /// trace — instead of this registry's own, so a node keeps one ring
+    /// for all its layers while each layer keeps its own counters.
+    pub fn record_into(&mut self, ring: &mut TraceLog, at: SimTime, event: TraceEvent) {
+        self.metrics.incr(event.counter());
+        ring.record(at, event);
     }
 }
 

@@ -21,7 +21,9 @@ use std::time::Duration;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
-    samples: Vec<Duration>,
+    /// Samples in nanoseconds: half the size of a `Duration`, and exact
+    /// up to 584 years (longer samples saturate).
+    samples: Vec<u64>,
     sorted: bool,
 }
 
@@ -34,7 +36,8 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, sample: Duration) {
-        self.samples.push(sample);
+        self.samples
+            .push(u64::try_from(sample.as_nanos()).unwrap_or(u64::MAX));
         self.sorted = false;
     }
 
@@ -56,7 +59,7 @@ impl Histogram {
         if self.samples.is_empty() {
             return Duration::ZERO;
         }
-        let total: u128 = self.samples.iter().map(Duration::as_nanos).sum();
+        let total: u128 = self.samples.iter().map(|&n| u128::from(n)).sum();
         nanos_to_duration(total / self.samples.len() as u128)
     }
 
@@ -75,7 +78,7 @@ impl Histogram {
             self.sorted = true;
         }
         let rank = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        self.samples[rank]
+        Duration::from_nanos(self.samples[rank])
     }
 
     /// Median sample.
@@ -86,13 +89,13 @@ impl Histogram {
     /// Largest sample; zero when empty.
     #[must_use]
     pub fn max(&self) -> Duration {
-        self.samples.iter().copied().max().unwrap_or(Duration::ZERO)
+        Duration::from_nanos(self.samples.iter().copied().max().unwrap_or(0))
     }
 
     /// Smallest sample; zero when empty.
     #[must_use]
     pub fn min(&self) -> Duration {
-        self.samples.iter().copied().min().unwrap_or(Duration::ZERO)
+        Duration::from_nanos(self.samples.iter().copied().min().unwrap_or(0))
     }
 
     /// Merges another histogram's samples into this one.

@@ -16,35 +16,76 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::site::NodeId;
 use crate::time::SimTime;
 
-/// A typed protocol event. Group identifiers are carried as strings so
-/// the substrate stays independent of the group-communication layer's
-/// types.
+/// A group's name, shared. The group-communication layer's `GroupId`
+/// wraps one, so the name is allocated once when a node takes up the
+/// group, and every trace record of the group holds a refcounted handle:
+/// recording allocates nothing. The handle is one pointer wide, which
+/// keeps a [`TraceRecord`] at 32 bytes.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct GroupName(Arc<String>);
+
+impl GroupName {
+    /// A name (allocated once; clones share it).
+    #[must_use]
+    pub fn new(name: impl Into<String>) -> Self {
+        GroupName(Arc::new(name.into()))
+    }
+
+    /// The name as a string.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for GroupName {
+    fn from(s: &str) -> Self {
+        GroupName::new(s)
+    }
+}
+
+impl From<String> for GroupName {
+    fn from(s: String) -> Self {
+        GroupName::new(s)
+    }
+}
+
+impl fmt::Display for GroupName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// A typed protocol event. Group identifiers are carried as
+/// [`GroupName`]s so the substrate stays independent of the
+/// group-communication layer's types.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
     /// A group installed a new view.
     ViewInstalled {
         /// The group.
-        group: String,
+        group: GroupName,
         /// The installed view's number.
         view: u64,
         /// Members in the view.
-        members: usize,
+        members: u32,
     },
     /// The failure detector suspected a member.
     Suspected {
         /// The group the suspicion was raised in.
-        group: String,
+        group: GroupName,
         /// The suspected member.
         suspect: NodeId,
     },
     /// A negative acknowledgement was sent to recover missing messages.
     NackSent {
         /// The group.
-        group: String,
+        group: GroupName,
         /// The member asked to retransmit.
         to: NodeId,
         /// Messages requested.
@@ -53,7 +94,7 @@ pub enum TraceEvent {
     /// Stored messages were retransmitted in answer to a NACK.
     Retransmit {
         /// The group.
-        group: String,
+        group: GroupName,
         /// The member that asked.
         to: NodeId,
         /// Messages retransmitted.
@@ -63,14 +104,14 @@ pub enum TraceEvent {
     /// protocol).
     SequencerBatch {
         /// The group.
-        group: String,
+        group: GroupName,
         /// Ordering records in the batch.
         records: usize,
     },
     /// A time-silence null message was sent (liveness heartbeat).
     TimeSilenceNull {
         /// The group.
-        group: String,
+        group: GroupName,
     },
     /// A request manager forwarded a client request into the server
     /// group (open binding).
@@ -107,25 +148,25 @@ pub enum TraceEvent {
     /// the application will rebind (§4.1).
     Rebind {
         /// The broken client/server group.
-        group: String,
+        group: GroupName,
         /// The manager that disappeared.
         manager: NodeId,
     },
     /// A binding completed and is ready for invocations.
     BindReady {
         /// The client/server group.
-        group: String,
+        group: GroupName,
     },
     /// A binding attempt failed.
     BindFailed {
         /// The client/server group that failed.
-        group: String,
+        group: GroupName,
     },
     /// A passive-replication backup was promoted to primary and replayed
     /// its backlog.
     Promoted {
         /// The server group.
-        group: String,
+        group: GroupName,
         /// Backlogged requests replayed.
         replayed: usize,
     },
@@ -133,11 +174,35 @@ pub enum TraceEvent {
     /// (also counted under the `decode.malformed` metric).
     MalformedDropped {
         /// The ORB operation the body arrived under.
-        operation: String,
+        operation: &'static str,
     },
 }
 
 impl TraceEvent {
+    /// The event's `ev.<kind>` counter name (see
+    /// [`crate::metrics::Observability::record`]), static so bumping it
+    /// allocates nothing.
+    #[must_use]
+    pub fn counter(&self) -> &'static str {
+        match self {
+            TraceEvent::ViewInstalled { .. } => "ev.view_installed",
+            TraceEvent::Suspected { .. } => "ev.suspected",
+            TraceEvent::NackSent { .. } => "ev.nack_sent",
+            TraceEvent::Retransmit { .. } => "ev.retransmit",
+            TraceEvent::SequencerBatch { .. } => "ev.sequencer_batch",
+            TraceEvent::TimeSilenceNull { .. } => "ev.time_silence_null",
+            TraceEvent::RequestForwarded { .. } => "ev.request_forwarded",
+            TraceEvent::ReplyCollected { .. } => "ev.reply_collected",
+            TraceEvent::Executed { .. } => "ev.executed",
+            TraceEvent::RetryDeduped { .. } => "ev.retry_deduped",
+            TraceEvent::Rebind { .. } => "ev.rebind",
+            TraceEvent::BindReady { .. } => "ev.bind_ready",
+            TraceEvent::BindFailed { .. } => "ev.bind_failed",
+            TraceEvent::Promoted { .. } => "ev.promoted",
+            TraceEvent::MalformedDropped { .. } => "ev.malformed_dropped",
+        }
+    }
+
     /// The event's kind as a stable snake-case name — also the suffix of
     /// its auto-maintained `ev.*` counter.
     #[must_use]
@@ -250,8 +315,11 @@ impl TraceLog {
     /// A log holding at most `capacity` records.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
+        // The ring is allocated on the first record: a log that is never
+        // written (a shard member whose host keeps the node's one ring)
+        // costs nothing.
         TraceLog {
-            records: VecDeque::with_capacity(capacity.min(1024)),
+            records: VecDeque::new(),
             capacity: capacity.max(1),
             dropped: 0,
         }
@@ -259,6 +327,11 @@ impl TraceLog {
 
     /// Appends a record, evicting the oldest when full.
     pub fn record(&mut self, at: SimTime, event: TraceEvent) {
+        if self.records.capacity() == 0 {
+            // First record: size the ring once, at its bound, rather than
+            // doubling its way there.
+            self.records.reserve_exact(self.capacity);
+        }
         if self.records.len() == self.capacity {
             self.records.pop_front();
             self.dropped += 1;
@@ -350,7 +423,7 @@ mod tests {
             log.record(
                 SimTime::from_millis(i),
                 TraceEvent::TimeSilenceNull {
-                    group: format!("g{i}"),
+                    group: format!("g{i}").into(),
                 },
             );
         }
@@ -361,12 +434,19 @@ mod tests {
     }
 
     #[test]
+    fn records_stay_small() {
+        // A node's ring holds DEFAULT_TRACE_CAPACITY of these.
+        assert!(std::mem::size_of::<TraceRecord>() <= 32);
+    }
+
+    #[test]
     fn kinds_are_stable() {
         let e = TraceEvent::Rebind {
             group: "b".into(),
             manager: n(0),
         };
         assert_eq!(e.kind(), "rebind");
+        assert_eq!(e.counter(), format!("ev.{}", e.kind()));
         assert!(e.to_string().contains("rebind"));
     }
 }

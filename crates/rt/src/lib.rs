@@ -6,15 +6,18 @@
 //! [`newtop_net::tcp::TcpEndpoint`]), so the runnable examples are
 //! genuinely concurrent programs rather than simulations.
 //!
-//! Each node runs an event loop selecting over incoming packets,
-//! application commands and its timer wheel. With more than one shard
+//! Each node runs an event loop over one bounded event queue that
+//! carries incoming packets, application commands and the stop signal.
+//! The loop blocks on that queue until the next timer is due
+//! (`recv_timeout`), so an idle node sleeps instead of polling, and a
+//! command or packet wakes it at once. With more than one shard
 //! configured ([`RuntimeOptions::with_shards`]), packet ingress is
 //! parallelised across shard workers: a distributor fans incoming
 //! packets out to `N` bounded worker queues by source (preserving
 //! per-source FIFO order), each worker pre-decodes and unbatches GCS
 //! frames ([`Nso::decode_gcs_frame`] — the CPU-heavy part of ingress),
-//! and the decoded messages fan back into the event loop, which applies
-//! them to the per-shard protocol engines. Applications drive the node
+//! and the decoded messages fan back into the event queue, and the loop
+//! applies them to the per-shard protocol engines. Applications drive the node
 //! through a [`NodeHandle`]: [`NodeHandle::with_nso`] runs a closure
 //! against the NSO inside the loop (so no locking is ever needed), and
 //! [`NodeHandle::outputs`] / [`NodeHandle::wait_for_output`] receive the
@@ -42,7 +45,7 @@ use std::collections::{BinaryHeap, HashSet};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use newtop_flow::queue::{bounded, QueueStats, Receiver, Sender};
+use newtop_flow::queue::{bounded, QueueStats, Receiver, RecvTimeoutError, Sender};
 use newtop_flow::FlowConfig;
 
 use newtop::nso::{Nso, NsoOptions, NsoOutput};
@@ -128,10 +131,21 @@ impl RuntimeOptions {
 
 type Command = Box<dyn FnOnce(&mut Nso, SimTime, &mut Outbox) + Send>;
 
+/// What the event loop waits for, all on one bounded queue: ingress from
+/// the network (a raw packet — the single-shard path, and anything the
+/// workers decline to pre-decode — or the decoded GCS messages of one or
+/// more frames), application commands, and the stop signal.
+enum Event {
+    Raw(Packet),
+    Gcs(Vec<GcsMessage>),
+    Command(Command),
+    Stop,
+}
+
 /// A handle to a node hosted by [`NodeRuntime::spawn`].
 pub struct NodeHandle {
     node: NodeId,
-    commands: Sender<Command>,
+    events: Sender<Event>,
     outputs: Receiver<NsoOutput>,
     join: Option<JoinHandle<()>>,
 }
@@ -161,10 +175,13 @@ impl NodeHandle {
         F: FnOnce(&mut Nso, SimTime, &mut Outbox) -> R + Send + 'static,
     {
         let (tx, rx) = bounded(1);
-        self.commands
-            .send(Box::new(move |nso, now, out| {
-                let _ = tx.send(f(nso, now, out));
-            }))
+        let command: Command = Box::new(move |nso, now, out| {
+            // The caller is blocked on `rx` below, so the reply always
+            // has a receiver.
+            let _ = tx.send(f(nso, now, out));
+        });
+        self.events
+            .send(Event::Command(command))
             .expect("node event loop stopped");
         rx.recv().expect("node event loop stopped")
     }
@@ -209,12 +226,13 @@ impl NodeHandle {
     }
 
     fn stop(&mut self) {
-        // Closing the command channel stops the loop.
-        let (dead_tx, _) = bounded(1);
-        let _ = std::mem::replace(&mut self.commands, dead_tx);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+        let Some(join) = self.join.take() else {
+            return;
+        };
+        // A loop that already exited has dropped its receiver; then the
+        // send fails and there is nothing left to stop.
+        let _ = self.events.send(Event::Stop);
+        let _ = join.join();
     }
 }
 
@@ -243,74 +261,57 @@ impl NodeRuntime {
         opts: RuntimeOptions,
     ) -> NodeHandle {
         let node = transport.local();
-        let (cmd_tx, cmd_rx) = bounded::<Command>(opts.flow.queue_capacity);
+        let (event_tx, event_rx) = bounded::<Event>(opts.flow.queue_capacity);
         let (out_tx, out_rx) = bounded::<NsoOutput>(opts.flow.queue_capacity);
-        let ingress = spawn_ingress(node, incoming, &opts);
+        spawn_ingress(node, incoming, &opts, &event_tx);
         let join = std::thread::Builder::new()
             .name(format!("nso-{node}"))
-            .spawn(move || event_loop(node, &transport, &opts, &ingress, &cmd_rx, &out_tx))
+            .spawn(move || event_loop(node, &transport, &opts, &event_rx, &out_tx))
             .expect("failed to spawn node thread");
         NodeHandle {
             node,
-            commands: cmd_tx,
+            events: event_tx,
             outputs: out_rx,
             join: Some(join),
         }
     }
 }
 
-/// What the ingress path hands the event loop: either a raw packet (the
-/// single-shard path, and anything the workers decline to pre-decode) or
-/// the decoded GCS messages of one frame.
-enum Ingress {
-    Raw(Packet),
-    Gcs(Vec<GcsMessage>),
-}
-
-/// Builds the ingress pipeline. With one shard the event loop consumes
-/// `incoming` directly; otherwise a distributor thread fans packets out
-/// to per-shard decode workers (hashing on the source so per-source FIFO
-/// order survives) and the workers' decoded output fans back in over one
-/// bounded channel.
+/// Builds the ingress pipeline into the event queue. With one shard a
+/// forwarder moves packets from `incoming` onto it; otherwise a
+/// distributor thread fans packets out to per-shard decode workers
+/// (hashing on the source so per-source FIFO order survives) and the
+/// workers' decoded output fans back in onto it. Every stage blocks on a
+/// full queue, so backpressure reaches the transport.
 fn spawn_ingress(
     node: NodeId,
     incoming: Receiver<Packet>,
     opts: &RuntimeOptions,
-) -> Receiver<Ingress> {
+    events: &Sender<Event>,
+) {
     let capacity = opts.flow.queue_capacity;
     if opts.shards == 1 {
-        let (tx, rx) = bounded::<Ingress>(capacity);
+        let tx = events.clone();
         std::thread::Builder::new()
             .name(format!("newtop-rt-ingress-{node}"))
             .spawn(move || {
                 while let Ok(pkt) = incoming.recv() {
-                    if tx.send(Ingress::Raw(pkt)).is_err() {
+                    if tx.send(Event::Raw(pkt)).is_err() {
                         return;
                     }
                 }
             })
             .expect("failed to spawn ingress thread");
-        return rx;
+        return;
     }
-    let (fan_in_tx, fan_in_rx) = bounded::<Ingress>(capacity);
     let mut shard_queues = Vec::with_capacity(opts.shards);
     for k in 0..opts.shards {
         let (tx, rx) = bounded::<Packet>(capacity);
         shard_queues.push(tx);
-        let fan_in = fan_in_tx.clone();
+        let fan_in = events.clone();
         std::thread::Builder::new()
             .name(format!("newtop-rt-shard{k}-{node}"))
-            .spawn(move || {
-                while let Ok(pkt) = rx.recv() {
-                    let event = match Nso::decode_gcs_frame(&pkt.payload) {
-                        Some(msgs) => Ingress::Gcs(msgs),
-                        None => Ingress::Raw(pkt),
-                    };
-                    if fan_in.send(event).is_err() {
-                        return;
-                    }
-                }
-            })
+            .spawn(move || decode_worker(&rx, &fan_in))
             .expect("failed to spawn shard worker");
     }
     std::thread::Builder::new()
@@ -324,7 +325,43 @@ fn spawn_ingress(
             }
         })
         .expect("failed to spawn ingress thread");
-    fan_in_rx
+}
+
+/// Most frames one decode worker folds into a single [`Event::Gcs`].
+const MAX_BURST: usize = 64;
+
+/// A shard worker: decodes GCS frames off the event loop. Frames that
+/// are already queued when one arrives go to the loop as one event, so a
+/// burst costs the loop one wake-up rather than one per frame (on a
+/// saturated host the per-frame wake-ups showed up in the call-latency
+/// tail); a lone frame goes at once. Raw packets keep their place in the
+/// order.
+fn decode_worker(rx: &Receiver<Packet>, events: &Sender<Event>) {
+    while let Ok(first) = rx.recv() {
+        let mut msgs = Vec::new();
+        let mut next = Some(first);
+        while let Some(pkt) = next.take() {
+            match Nso::decode_gcs_frame(&pkt.payload) {
+                Some(decoded) => msgs.extend(decoded),
+                None => {
+                    if !msgs.is_empty()
+                        && events.send(Event::Gcs(std::mem::take(&mut msgs))).is_err()
+                    {
+                        return;
+                    }
+                    if events.send(Event::Raw(pkt)).is_err() {
+                        return;
+                    }
+                }
+            }
+            if msgs.len() < MAX_BURST {
+                next = rx.try_recv().ok();
+            }
+        }
+        if !msgs.is_empty() && events.send(Event::Gcs(msgs)).is_err() {
+            return;
+        }
+    }
 }
 
 /// FNV-1a over the source id — cheap, deterministic shard placement.
@@ -365,8 +402,7 @@ fn event_loop(
     node: NodeId,
     transport: &dyn WireTransport,
     opts: &RuntimeOptions,
-    ingress: &Receiver<Ingress>,
-    commands: &Receiver<Command>,
+    events: &Receiver<Event>,
     outputs: &Sender<NsoOutput>,
 ) {
     let start = Instant::now();
@@ -404,41 +440,41 @@ fn event_loop(
             drain_outputs(&mut nso, outputs);
         }
 
-        // Wait for the next packet/command, bounded by the next timer.
-        let timeout = timers
-            .peek()
-            .map_or(Duration::from_millis(50), |Reverse(t)| {
-                t.deadline.saturating_duration_since(Instant::now())
-            });
-
-        crossbeam::channel::select! {
-            recv(ingress) -> event => {
-                let Ok(event) = event else { return };
-                match event {
-                    Ingress::Raw(pkt) => {
-                        let mut out = Outbox::detached(next_outbox_timer);
-                        nso.on_packet(&pkt, now(start), &mut out);
-                        next_outbox_timer = apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
-                    }
-                    Ingress::Gcs(msgs) => {
-                        for msg in msgs {
-                            let mut out = Outbox::detached(next_outbox_timer);
-                            nso.on_gcs_message(msg, now(start), &mut out);
-                            next_outbox_timer = apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
-                        }
-                    }
+        // Sleep until the next event, or until the next timer is due.
+        let event = match timers.peek() {
+            Some(Reverse(t)) => {
+                match events.recv_timeout(t.deadline.saturating_duration_since(Instant::now())) {
+                    Ok(event) => event,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return,
                 }
-                drain_outputs(&mut nso, outputs);
             }
-            recv(commands) -> cmd => {
-                let Ok(cmd) = cmd else { return };
-                let mut out = Outbox::detached(next_outbox_timer);
-                cmd(&mut nso, now(start), &mut out);
-                next_outbox_timer = apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
-                drain_outputs(&mut nso, outputs);
+            None => match events.recv() {
+                Ok(event) => event,
+                Err(_) => return,
+            },
+        };
+        let mut out = Outbox::detached(next_outbox_timer);
+        match event {
+            Event::Raw(pkt) => nso.on_packet(&pkt, now(start), &mut out),
+            Event::Gcs(msgs) => {
+                for msg in msgs {
+                    nso.on_gcs_message(msg, now(start), &mut out);
+                    // Each message's sends and outputs leave before the
+                    // next message of a burst is handled.
+                    let done = std::mem::replace(&mut out, Outbox::detached(0));
+                    next_outbox_timer =
+                        apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, done);
+                    out = Outbox::detached(next_outbox_timer);
+                    drain_outputs(&mut nso, outputs);
+                }
             }
-            default(timeout) => {}
+            Event::Command(cmd) => cmd(&mut nso, now(start), &mut out),
+            Event::Stop => return,
         }
+        next_outbox_timer =
+            apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
+        drain_outputs(&mut nso, outputs);
     }
 }
 

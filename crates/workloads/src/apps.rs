@@ -12,7 +12,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use newtop::directory::GroupRecord;
-use newtop::nso::{BindOptions, GroupHandle, Nso, NsoOutput, ResolveStyle};
+use newtop::nso::{BindOptions, GroupHandle, NewtopError, Nso, NsoOutput, ResolveStyle};
 use newtop::simnode::NsoApp;
 use newtop::tags;
 use newtop_dir::app::register_service;
@@ -210,6 +210,11 @@ impl ClientApp {
                 self.issued_at.insert(call.number, now);
                 out.set_timer(self.retry_after, RETRY_TAG);
             }
+            Err(NewtopError::Overloaded(_)) => {
+                // Shed before anything was sent: nothing is pending, so
+                // the retry tick issues a fresh call.
+                out.set_timer(self.retry_after, RETRY_TAG);
+            }
             Err(_) => {
                 // Binding raced away; a rebind is in flight.
             }
@@ -225,6 +230,11 @@ impl ClientApp {
             // calls itself.
             return;
         };
+        if self.issued_at.is_empty() {
+            // The last issue was shed: try again.
+            self.issue(nso, now, out);
+            return;
+        }
         let mut stale: Vec<u64> = self
             .issued_at
             .iter()
@@ -531,8 +541,12 @@ impl HubApp {
             let slot = &self.slots[idx];
             match (&slot.binding, slot.bound_as.is_some(), slot.outstanding) {
                 (Some(binding), _, Some((number, at))) if now - at >= self.retry_after => {
+                    // A shed retry leaves the call pending; the next tick
+                    // tries again.
                     let _ = binding.clone().retry(nso, number, now, out);
                 }
+                // Bound with nothing in flight: the last issue was shed.
+                (Some(_), _, None) => self.issue(idx, nso, now, out),
                 (None, false, _) => self.bind_slot(idx, nso, now, out),
                 _ => {}
             }

@@ -212,6 +212,9 @@ pub struct ProtocolCounts {
     /// Retries answered from the reply cache without re-execution
     /// (`ev.retry_deduped`).
     pub deduped: u64,
+    /// Multicasts the GCS flow window shed (`flow.shed`) — zero in an
+    /// unloaded run.
+    pub flow_shed: u64,
 }
 
 impl ProtocolCounts {
@@ -255,6 +258,7 @@ pub(crate) fn harvest_counts(sim: &Sim, nodes: &[NodeId]) -> ProtocolCounts {
         c.suspicions += snap.counter("ev.suspected");
         c.executed += snap.counter("ev.executed");
         c.deduped += snap.counter("ev.retry_deduped");
+        c.flow_shed += snap.counter("flow.shed");
     }
     c
 }
@@ -299,9 +303,10 @@ fn summarize(completions: &[(SimTime, Duration)], duration: Duration) -> Request
 
 /// Counts executions a server performed more than once for the same
 /// `(client, call number)` pair, from its bounded trace ring. The ring
-/// holds 512 records — far more than a campaign run's executions — but
-/// even under eviction this can only under-count (miss a duplicate),
-/// never report a false positive.
+/// (one per node, [`newtop_net::trace::DEFAULT_TRACE_CAPACITY`] records)
+/// holds far more than a campaign run's executions — but even under
+/// eviction this can only under-count (miss a duplicate), never report a
+/// false positive.
 fn count_double_executions(sim: &Sim, servers: &[NodeId]) -> u64 {
     let mut doubles = 0u64;
     for &id in servers {

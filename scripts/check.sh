@@ -56,6 +56,10 @@ fi
 echo "==> cargo bench --no-run (bench targets must compile)"
 cargo bench --workspace --offline --no-run
 
+echo "==> bench_gate (LAN closed call within the 3.71 ms anchor, no sheds unloaded)"
+cargo build --release --offline -p newtop-bench --bin bench_snapshot
+./target/release/bench_snapshot --gate
+
 echo "==> fault-injection campaign (quick, 25 seeds)"
 cargo build --release --offline -p newtop-check
 ./target/release/campaign --seeds 25 --quiet

@@ -152,6 +152,11 @@ impl NsoApp for RetryClient {
                     for number in stalled {
                         let _ = binding.retry(nso, number, now, out);
                     }
+                    // An issue the GCS shed (`Overloaded`) left nothing
+                    // pending: issue afresh.
+                    if self.issued_at.is_empty() {
+                        self.issue(nso, now, out);
+                    }
                 }
                 out.set_timer(Duration::from_millis(200), RETRY_TAG);
             }
@@ -444,5 +449,51 @@ fn contact_server_crash_retry_served_from_reply_cache() {
     assert!(
         deduped > 0,
         "no retry hit the reply cache — the crash window missed (seed={seed})"
+    );
+}
+
+/// Seed 43, plan: an open binding with first-reply calls to three
+/// active replicas; one replica that is not the request manager runs 20×
+/// slower from 20 ms on. Replies from the two fast replicas complete
+/// every call, so nothing slows the client to the slow replica's pace,
+/// and the manager's send window in the server group fills against the
+/// slow replica's acknowledgement floor. Its forwards must wait for
+/// credit (`inv.handler_held`), never be dropped (`inv.handler_shed`):
+/// a dropped forward was a call the client could only get back by
+/// retrying.
+#[test]
+fn forwards_wait_for_a_slow_replica_instead_of_being_dropped() {
+    let total = 400;
+    let mut c = build(
+        3,
+        Replication::Active,
+        OpenOptimisation::None,
+        ReplyMode::First,
+        true,
+        total,
+        43,
+    );
+    let slow = c.servers[2];
+    c.sim
+        .schedule_set_service_factor(SimTime::from_millis(20), Some(slow), 20.0);
+    c.sim.run_until(SimTime::from_secs(60));
+
+    let (numbers, rebinds) = client_state(&c.sim, c.client);
+    assert_eq!(rebinds, 0);
+    assert_eq!(numbers, (1..=total as u64).collect::<Vec<_>>());
+    let manager = c
+        .sim
+        .node_ref::<NsoNode>(c.servers[0])
+        .expect("manager")
+        .nso()
+        .metrics();
+    assert!(
+        manager.counter("inv.handler_held") > 0,
+        "the slow replica never filled the manager's window: the run does not exercise the hold"
+    );
+    assert_eq!(
+        manager.counter("inv.handler_shed"),
+        0,
+        "a forward was dropped"
     );
 }

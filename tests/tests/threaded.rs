@@ -149,6 +149,84 @@ fn request_reply_over_real_tcp_sockets() {
     }
 }
 
+/// Spawns `n` nodes over loopback TCP, every node knowing every other.
+fn spawn_tcp_cluster(n: u32) -> (Vec<NodeHandle>, Vec<TcpEndpoint>) {
+    let ids: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
+    let mut endpoints = Vec::new();
+    let mut rxs = Vec::new();
+    for &id in &ids {
+        let (tx, rx) =
+            newtop_flow::queue::bounded(newtop_flow::FlowConfig::default().queue_capacity);
+        let ep = TcpEndpoint::bind(id, "127.0.0.1:0".parse().unwrap(), tx).unwrap();
+        endpoints.push(ep);
+        rxs.push(rx);
+    }
+    let addrs: Vec<_> = endpoints.iter().map(TcpEndpoint::local_addr).collect();
+    for ep in &endpoints {
+        for (&id, &addr) in ids.iter().zip(addrs.iter()) {
+            ep.register_peer(id, addr);
+        }
+    }
+    let nodes = endpoints
+        .iter()
+        .zip(rxs)
+        .map(|(ep, rx)| NodeRuntime::spawn(ep.handle(), rx, RuntimeOptions::new()))
+        .collect();
+    (nodes, endpoints)
+}
+
+/// A lone client's closed binding to three replicas over TCP: four flow
+/// windows of sequential calls, none retried, each complete within
+/// 50 ms. Before receivers returned credit on their own, the client ran
+/// out of credit after one window and each later call stalled until a
+/// null or a retry (100–240 ms), or — the shed being silent — forever.
+#[test]
+fn closed_binding_sustains_sequential_calls_without_credit_stalls() {
+    let (nodes, endpoints) = spawn_tcp_cluster(4);
+    let servers: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+    let group = GroupId::new("tcp-closed");
+    setup_service(&nodes, &servers, &group);
+    let client = &nodes[3];
+    let g = group.clone();
+    let binding = client.with_nso(move |nso, now, out| {
+        nso.bind(g, BindOptions::closed(servers), now, out).unwrap()
+    });
+    client
+        .wait_for_output(Duration::from_secs(15), |o| {
+            matches!(o, NsoOutput::BindingReady { .. })
+        })
+        .expect("binding established");
+    let calls = 4 * GroupConfig::request_reply().flow_window;
+    for i in 0..calls {
+        let b = binding.clone();
+        let issued = std::time::Instant::now();
+        let call = client
+            .with_nso(move |nso, now, out| {
+                b.invoke(nso, "call", Bytes::new(), ReplyMode::All, now, out)
+            })
+            .unwrap_or_else(|e| panic!("call {i} refused: {e}"));
+        let done = client
+            .wait_for_output(
+                Duration::from_millis(50),
+                |o| matches!(o, NsoOutput::InvocationComplete { call: c, .. } if *c == call),
+            )
+            .unwrap_or_else(|| panic!("call {i} not complete within 50 ms"));
+        let NsoOutput::InvocationComplete { replies, .. } = done else {
+            unreachable!()
+        };
+        assert_eq!(replies.len(), 3, "call {i}");
+        assert!(issued.elapsed() < Duration::from_millis(50), "call {i}");
+    }
+    let shed = client.with_nso(|nso, _, _| nso.metrics().counter("flow.shed"));
+    assert_eq!(shed, 0);
+    for n in nodes {
+        n.shutdown();
+    }
+    for mut ep in endpoints {
+        ep.shutdown();
+    }
+}
+
 #[test]
 fn peer_group_over_threads() {
     let nodes = spawn_channel_cluster(3);
