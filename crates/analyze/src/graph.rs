@@ -115,7 +115,7 @@ pub struct FnNode {
     pub calls: Vec<CallSite>,
     /// Lock acquisitions in body order.
     pub locks: Vec<LockAcquire>,
-    /// Send-like calls (`send`/`try_send`/`write_all`/…) present
+    /// Send-like calls (`send`/`try_send`/`write_all`/`write_vectored`/…) present
     /// directly in the body.
     pub sends_directly: bool,
 }
@@ -145,6 +145,7 @@ pub const SEND_LIKE: &[&str] = &[
     "try_send",
     "send_fanout",
     "write_all",
+    "write_vectored",
     "oneway",
     "oneway_fanout",
     "connect",
@@ -178,7 +179,7 @@ pub const CRATE_DEPS: &[(&str, &[&str])] = &[
     ("invocation", &["flow", "net", "orb", "gcs"]),
     ("core", &["net", "orb", "gcs", "invocation"]),
     ("dir", &["flow", "net", "orb", "gcs", "core"]),
-    ("rt", &["flow", "net", "orb", "gcs", "invocation", "core"]),
+    ("rt", &["flow", "net", "gcs", "invocation", "core"]),
     (
         "workloads",
         &["net", "orb", "gcs", "invocation", "core", "dir"],

@@ -8,7 +8,7 @@
 //! answer: is a panic reachable from a decode boundary two calls away?
 //! do two functions acquire the same pair of locks in opposite orders?
 //! does a protocol handler launder wall-clock time through a helper
-//! crate? can a shard-worker event handler block?
+//! crate? can an event-loop handler block?
 //!
 //! Every rule stays deliberately over-approximate (name-based
 //! resolution, token-shape matching): the committed allowlist absorbs
@@ -80,11 +80,13 @@ pub const ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
     (Some("GcsMember"), Some("on_message")),
 ];
 
-/// Shard-worker event handlers (rules 2 and 8): the functions the
-/// `newtop-rt` event loop and `newtop-rt-shard{k}-{node}` decode workers
-/// invoke per packet/timer/frame. Everything reachable from these runs
-/// on a worker thread with the whole node behind it: a panic kills the
-/// node, a blocking call stalls every group on the shard.
+/// Event-loop handlers (rules 2 and 8): the functions the `newtop-rt`
+/// event loop (`nso-{node}`) invokes per packet and timer, the shard
+/// engines' handlers they dispatch to, and the pre-decoded ingress pair
+/// (`decode_gcs_frame` + `on_gcs_message`) a host may call instead of
+/// `on_packet`. Everything reachable from these runs on the loop thread
+/// with the whole node behind it: a panic kills the node, a blocking
+/// call stalls every group on every shard.
 pub const WORKER_ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
     (Some("Nso"), Some("on_packet")),
     (Some("Nso"), Some("on_timer")),
@@ -244,10 +246,10 @@ fn path_call(toks: &[Token], i: usize, method: &str) -> bool {
 
 /// Transitive panic-freedom on message paths: no `unwrap`/`expect`/
 /// panicking macro/raw indexing/modulo-by-variable in any function
-/// reachable from a network-input decode entry point or a shard-worker
-/// event handler. Malformed bytes must surface as
+/// reachable from a network-input decode entry point or an event-loop
+/// handler. Malformed bytes must surface as
 /// `NewtopError::Malformed`, never as a panic — and a panic *anywhere*
-/// on the path takes the worker thread (and with it the node) down.
+/// on the path takes the loop thread (and with it the node) down.
 fn panic_free(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {
     let in_scope = |id: FnId| {
         let path = &graph.file(id).path;
@@ -545,11 +547,11 @@ fn scan_guard_scope(
 
 /// Lock-hygiene extension (PR 6): cross-shard channel ownership. A
 /// function that constructs channel endpoints while dealing in shards is
-/// wiring a cross-shard hand-off, and only the `newtop-rt` shard-worker
-/// pipeline — the functions that actually spawn the
-/// `newtop-rt-shard{k}-{node}` threads — may own those channels.
-/// Open-coding a shard fan-in/fan-out anywhere else bypasses the
-/// runtime's bounded ingress discipline.
+/// wiring a cross-shard hand-off, and only `newtop-rt` functions that
+/// spawn the threads such a hand-off needs may own those channels. The
+/// runtime has none today — every shard engine runs on the node's event
+/// loop (DESIGN.md §10) — so the rule keeps one from being open-coded
+/// elsewhere, outside the runtime's bounded ingress discipline.
 ///
 /// Token shape, over-approximate like the other families: a production
 /// function body that mentions a `shard*` identifier AND calls
@@ -933,31 +935,31 @@ fn blocking_hit(toks: &[Token], i: usize) -> Option<(&'static str, String)> {
     match t.text.as_str() {
         "sleep" if call => Some((
             "sleep",
-            "thread sleep on a shard-worker path stalls every group on the shard".to_owned(),
+            "thread sleep on an event-loop path stalls every group on the node".to_owned(),
         )),
         "File" | "OpenOptions" if path_call_any(toks, i) => Some((
             "file-io",
-            format!("{} file I/O on a shard-worker path blocks the worker", t.text),
+            format!("{} file I/O on an event-loop path blocks the loop", t.text),
         )),
         "fs" if toks.get(i + 1).is_some_and(|n| n.is_punct(':')) => Some((
             "file-io",
-            "std::fs file I/O on a shard-worker path blocks the worker".to_owned(),
+            "std::fs file I/O on an event-loop path blocks the loop".to_owned(),
         )),
         "sync_all" | "sync_data" if call && after_dot => Some((
             "file-io",
-            format!("fsync (`{}`) on a shard-worker path blocks the worker", t.text),
+            format!("fsync (`{}`) on an event-loop path blocks the loop", t.text),
         )),
         "wait" | "wait_timeout" | "park" if call && after_dot => Some((
             "wait",
             format!(
-                "`{}` on a shard-worker path is an unbounded wait inside the event pipeline",
+                "`{}` on an event-loop path is an unbounded wait inside the event pipeline",
                 t.text
             ),
         )),
         "recv" | "recv_timeout" if call && after_dot => Some((
             "blocking-recv",
             format!(
-                "blocking `{}` on a shard-worker path; workers may only block on their own ingress queue",
+                "blocking `{}` on an event-loop path; the loop may only block on its own event queue",
                 t.text
             ),
         )),
@@ -969,7 +971,7 @@ fn blocking_hit(toks: &[Token], i: usize) -> Option<(&'static str, String)> {
         {
             Some((
                 "join",
-                "thread join on a shard-worker path blocks the worker".to_owned(),
+                "thread join on an event-loop path blocks the loop".to_owned(),
             ))
         }
         _ => None,
@@ -982,11 +984,11 @@ fn path_call_any(toks: &[Token], i: usize) -> bool {
         && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
 }
 
-/// Blocking-in-shard-worker: no sleep, file I/O, fsync, condvar wait,
-/// thread join, or foreign blocking recv anywhere reachable from the
-/// shard-worker event handlers. The `newtop-rt` loops themselves block
-/// on their own ingress queues by design — those loop bodies are not
-/// seeds; the handlers they invoke are.
+/// Blocking-in-worker: no sleep, file I/O, fsync, condvar wait, thread
+/// join, or foreign blocking recv anywhere reachable from the event-loop
+/// handlers ([`WORKER_ENTRY_POINTS`]). The `newtop-rt` loop itself
+/// blocks on its own event queue by design — the loop body is not a
+/// seed; the handlers it invokes are.
 fn blocking_in_worker(graph: &CallGraph<'_>, out: &mut Vec<Finding>) {
     // Traversal stays inside the sans-IO protocol stack (the dependency
     // closure of the worker entry points' crates). The threaded

@@ -7,7 +7,7 @@
 //! even if the workspace itself happens to be clean. The graph rewrite
 //! added *multi-file* cases: a panic two calls deep across crates, an
 //! A→B/B→A lock cycle split between files, a determinism taint
-//! laundered through a helper crate, blocking I/O behind a shard-worker
+//! laundered through a helper crate, blocking I/O behind an event-loop
 //! handler, and a lock held across a call that only sends transitively
 //! — none of which any per-body scan can see.
 
@@ -180,6 +180,22 @@ const CASES: &[Case] = &[
         )],
     },
     Case {
+        name: "lock-hygiene/write-vectored-under-guard",
+        expect: Some(rules::RULE_LOCK_HYGIENE),
+        files: &[(
+            "crates/net/src/selftest.rs",
+            "fn fwd(&self) { let mut conns = self.conns.lock(); conns.stream.write_vectored(&bufs); }",
+        )],
+    },
+    Case {
+        name: "lock-hygiene/good-write-vectored-after-guard",
+        expect: None,
+        files: &[(
+            "crates/net/src/selftest.rs",
+            "fn fwd(&self) { let mut stream = { let conns = self.conns.lock(); conns.stream.clone() }; stream.write_vectored(&bufs); }",
+        )],
+    },
+    Case {
         name: "lock-hygiene/good-clone-then-send",
         expect: None,
         files: &[(
@@ -301,7 +317,7 @@ const CASES: &[Case] = &[
             ),
         ],
     },
-    // rule 8 — blocking reachable from a shard-worker handler
+    // rule 8 — blocking reachable from an event-loop handler
     Case {
         name: "blocking-in-worker/file-io-behind-handler",
         expect: Some(rules::RULE_BLOCKING),

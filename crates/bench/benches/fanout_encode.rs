@@ -38,6 +38,7 @@ fn wire_msg(payload_len: usize) -> GcsMessage {
             order: DeliveryOrder::Total,
             deps: DepsVector::from_pairs([(n(1), 8), (n(2), 8)]),
             acks: vec![(n(1), 8), (n(2), 8)],
+            order_next: 1,
             payload: Bytes::from(vec![0x5A; payload_len]),
         }
         .into(),

@@ -29,6 +29,7 @@ fn data_msg(sender: u32, seq: u64, ts: u64) -> DataMsg {
         order: DeliveryOrder::Total,
         deps: DepsVector::from_pairs([(n(0), seq.saturating_sub(1))]),
         acks: vec![(n(0), seq.saturating_sub(1)), (n(1), seq.saturating_sub(1))],
+        order_next: 1,
         payload: Bytes::from_static(&[0u8; 100]),
     }
 }

@@ -55,6 +55,7 @@ fn wire_msg() -> GcsMessage {
             order: DeliveryOrder::Total,
             deps: DepsVector::from_pairs([(n(1), 8), (n(2), 8)]),
             acks: vec![(n(1), 8), (n(2), 8)],
+            order_next: 1,
             payload: Bytes::from(vec![0x5A; PAYLOAD]),
         }
         .into(),

@@ -913,13 +913,16 @@ impl Nso {
     /// A merged snapshot of this node's metrics: protocol-event counters
     /// (`ev.*`), group-communication counters (`gcs.*`) and invocation
     /// counters/latencies (`inv.*`), from both the invocation layer and
-    /// the GCS member.
+    /// the GCS member, plus the `gcs.engine_retained` gauge (messages and
+    /// order records the delivery engines hold right now).
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut merged = self.obs.metrics.clone();
         for shard_obs in self.gcs.observabilities() {
             merged.merge(&shard_obs.metrics);
         }
+        let retained = i64::try_from(self.gcs.engine_retained()).unwrap_or(i64::MAX);
+        merged.set_gauge("gcs.engine_retained", retained);
         merged.snapshot()
     }
 
@@ -1762,10 +1765,9 @@ impl Nso {
     }
 
     /// Feeds a GCS protocol message the host already decoded off the
-    /// wire — the ingress path for runtimes whose shard workers parse
-    /// and unbatch frames in parallel (see [`Nso::decode_gcs_frame`]).
-    /// Equivalent to [`Nso::on_packet`] on the frame the message came
-    /// from; the message is routed to the shard engine that owns its
+    /// wire (see [`Nso::decode_gcs_frame`]). Equivalent to
+    /// [`Nso::on_packet`] on the frame the message came from, which
+    /// calls it; the message is routed to the shard engine that owns its
     /// group.
     pub fn on_gcs_message(&mut self, msg: GcsMessage, now: SimTime, out: &mut Outbox) {
         let outs = with_net(
@@ -1790,11 +1792,13 @@ impl Nso {
     /// `GCS_OPERATION` request for the NSO endpoint, and `None`
     /// otherwise.
     ///
-    /// This is the CPU-heavy part of packet ingress, and it is pure —
-    /// hosts may run it on parallel decode workers and feed the results
-    /// to [`Nso::on_gcs_message`]. Frames it declines (replies, control
-    /// traffic, invocation messages, malformed bodies) must be fed to
-    /// [`Nso::on_packet`] unchanged so their accounting still happens.
+    /// It is pure, so a host may run it off the event loop and feed the
+    /// results to [`Nso::on_gcs_message`]; the threaded runtime does
+    /// not, because at under a microsecond per frame the decode costs
+    /// less than the thread hand-off that would move it (DESIGN.md §10).
+    /// Frames it declines (replies, control traffic, invocation
+    /// messages, malformed bodies) must be fed to [`Nso::on_packet`]
+    /// unchanged so their accounting still happens.
     #[must_use]
     pub fn decode_gcs_frame(payload: &[u8]) -> Option<Vec<GcsMessage>> {
         let Ok(GiopMessage::Request {

@@ -15,10 +15,12 @@
 //!   Used where the producer can afford to wait and loss is worse than
 //!   latency (the TCP reader thread).
 //!
-//! A consumer that waits on several sources at once funnels them into
-//! one queue and blocks on [`Receiver::recv_timeout`] (the threaded
-//! runtime's event loop does this with its packets, commands and stop
-//! signal).
+//! A consumer that waits on a second, rarer source blocks on this
+//! queue with [`Receiver::recv_timeout`] and has the other source's
+//! producers ring a [`Waker`] after each push: the wait then ends with
+//! [`RecvTimeoutError::Woken`]. The threaded runtime's event loop waits
+//! on its packet queue this way, woken for application commands, so a
+//! packet reaches the loop with one hand-off.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,6 +75,8 @@ pub struct RecvError;
 pub enum RecvTimeoutError {
     /// No message arrived before the timeout.
     Timeout,
+    /// A [`Waker`] rang before a message arrived or the timeout passed.
+    Woken,
     /// The queue is empty and every sender is gone.
     Disconnected,
 }
@@ -139,6 +143,10 @@ struct Inner<T> {
     /// counts change under the lock, so no wake-up is lost.
     receivers_waiting: usize,
     senders_waiting: usize,
+    /// Set by [`Waker::wake`]; the next [`Receiver::recv_timeout`] that
+    /// finds the queue empty clears it and returns
+    /// [`RecvTimeoutError::Woken`].
+    woken: bool,
 }
 
 struct Shared<T> {
@@ -196,6 +204,36 @@ pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
 
+/// Ends a receiver's [`Receiver::recv_timeout`] wait without queueing
+/// anything (see the module docs). Holding one keeps neither side of
+/// the queue connected. Cheap to clone.
+pub struct Waker<T> {
+    shared: Arc<Shared<T>>,
+}
+
+impl<T> Clone for Waker<T> {
+    fn clone(&self) -> Self {
+        Waker {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<T> Waker<T> {
+    /// Ends the current or next [`Receiver::recv_timeout`] on an empty
+    /// queue with [`RecvTimeoutError::Woken`]. Wakes ring once: several
+    /// before a wait end only that one.
+    pub fn wake(&self) {
+        let mut inner = self.shared.lock();
+        inner.woken = true;
+        let wake = inner.receivers_waiting > 0;
+        drop(inner);
+        if wake {
+            self.shared.not_empty.notify_all();
+        }
+    }
+}
+
 /// Creates a bounded queue with the given capacity (at least 1).
 #[must_use]
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
@@ -206,6 +244,7 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             receivers: 1,
             receivers_waiting: 0,
             senders_waiting: 0,
+            woken: false,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -354,32 +393,56 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Blocks up to `timeout` for a message.
+    /// Blocks up to `timeout` for a message, or until a [`Waker`] of
+    /// this queue rings. A queued message is returned before a wake is
+    /// reported. A timeout too far out to represent (`Duration::MAX`)
+    /// waits without one.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut inner = self.shared.lock();
         loop {
             inner = match self.shared.pop(inner) {
                 Ok(v) => return Ok(v),
                 Err(inner) => inner,
             };
+            if inner.woken {
+                inner.woken = false;
+                return Err(RecvTimeoutError::Woken);
+            }
             if inner.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return Err(RecvTimeoutError::Timeout);
+            let remaining = match deadline {
+                Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                    Some(remaining) => Some(remaining),
+                    None => return Err(RecvTimeoutError::Timeout),
+                },
+                None => None,
             };
             inner.receivers_waiting += 1;
-            let (guard, res) = self
-                .shared
-                .not_empty
-                .wait_timeout(inner, remaining)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
+            inner = match remaining {
+                Some(remaining) => {
+                    self.shared
+                        .not_empty
+                        .wait_timeout(inner, remaining)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+                None => self
+                    .shared
+                    .not_empty
+                    .wait(inner)
+                    .unwrap_or_else(|e| e.into_inner()),
+            };
             inner.receivers_waiting -= 1;
-            if res.timed_out() && inner.queue.is_empty() {
-                return Err(RecvTimeoutError::Timeout);
-            }
+        }
+    }
+
+    /// A [`Waker`] for this queue's receivers.
+    #[must_use]
+    pub fn waker(&self) -> Waker<T> {
+        Waker {
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -503,6 +566,38 @@ mod tests {
         );
         tx.send(9).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Ok(9));
+    }
+
+    #[test]
+    fn waker_ends_a_wait_once_and_never_beats_a_message() {
+        let (tx, rx) = bounded(2);
+        let waker = rx.waker();
+        // A wake before the wait is remembered; several ring once.
+        waker.wake();
+        waker.wake();
+        assert_eq!(rx.recv_timeout(Duration::MAX), Err(RecvTimeoutError::Woken));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(5)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        // A queued message is taken first; the wake is still reported.
+        tx.send(1).unwrap();
+        waker.wake();
+        assert_eq!(rx.recv_timeout(Duration::MAX), Ok(1));
+        assert_eq!(rx.recv_timeout(Duration::MAX), Err(RecvTimeoutError::Woken));
+        // A wake from another thread ends an unbounded wait.
+        let ringer = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            waker.wake();
+        });
+        assert_eq!(rx.recv_timeout(Duration::MAX), Err(RecvTimeoutError::Woken));
+        ringer.join().unwrap();
+        // The waker keeps no side connected.
+        drop(tx);
+        assert_eq!(
+            rx.recv_timeout(Duration::MAX),
+            Err(RecvTimeoutError::Disconnected)
+        );
     }
 
     #[test]

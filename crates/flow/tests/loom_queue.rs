@@ -11,8 +11,10 @@
 //! queue can silently lose under an unlucky schedule:
 //!
 //! 1. **No lost wakeups** — a blocking `send` into a full queue must
-//!    complete once the consumer drains, and a blocked `recv` must see
-//!    either a message or the disconnect; neither may sleep forever.
+//!    complete once the consumer drains, a blocked `recv` must see
+//!    either a message or the disconnect, and a blocked `recv_timeout`
+//!    must see a [`Waker`](newtop_flow::queue::Waker)'s wake; none may
+//!    sleep forever.
 //! 2. **Shed accounting** — every `try_send` outcome is either a
 //!    delivered message or a counted shed; none vanish.
 //! 3. **Depth bound** — the queue never holds more than `capacity`
@@ -63,6 +65,20 @@ fn loom_receiver_wakes_on_sender_drop() {
         assert_eq!(rx.recv(), Ok(7));
         assert!(rx.recv().is_err());
         producer.join().unwrap();
+    });
+}
+
+/// Property 1c: a wake rung from another thread always ends an
+/// unbounded `recv_timeout` — a lost wake would hang the receiver, the
+/// way the runtime's event loop would miss a command.
+#[test]
+fn loom_waker_ends_an_unbounded_wait() {
+    loom::model(|| {
+        let (_tx, rx) = bounded::<u32>(1);
+        let waker = rx.waker();
+        let ringer = loom::thread::spawn(move || waker.wake());
+        assert_eq!(rx.recv_timeout(Duration::MAX), Err(RecvTimeoutError::Woken));
+        ringer.join().unwrap();
     });
 }
 

@@ -27,7 +27,7 @@
 //! was attached to. Without this, a null message racing ahead of a lost
 //! data message could commit a total-order position too early.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use crate::group::{DeliveryOrder, OrderProtocol};
@@ -98,8 +98,16 @@ pub struct DeliveryEngine {
     /// Symmetric protocol: undelivered total-order messages keyed by
     /// (lamport, sender, seq).
     total_queue: BTreeSet<(u64, NodeId, u64)>,
-    /// Asymmetric protocol: the global order log (position 1 at index 0).
-    order_log: Vec<(NodeId, u64)>,
+    /// Asymmetric protocol: the retained tail of the global order log,
+    /// position `order_base + 1` at index 0. Earlier positions were
+    /// dropped by [`Self::gc_stable`].
+    order_log: VecDeque<(NodeId, u64)>,
+    /// Order positions dropped from the front of `order_log`.
+    order_base: u64,
+    /// Sequencer only: per member, the next order position it reported
+    /// needing ([`Self::note_order_next`]). Positions below every
+    /// member's report are never asked for again.
+    order_next: BTreeMap<NodeId, u64>,
     /// Out-of-order ordering records awaiting earlier positions.
     pending_order: BTreeMap<u64, (NodeId, u64)>,
     /// Next global position to deliver (1-based).
@@ -149,7 +157,9 @@ impl EngineConfig {
             protocol: self.protocol,
             senders,
             total_queue: BTreeSet::new(),
-            order_log: Vec::new(),
+            order_log: VecDeque::new(),
+            order_base: 0,
+            order_next: BTreeMap::new(),
             pending_order: BTreeMap::new(),
             next_deliver_pos: 1,
             seq_state: SequencerState {
@@ -238,6 +248,26 @@ impl DeliveryEngine {
             let cur = entry.entry(sender).or_insert(0);
             *cur = (*cur).max(seq);
         }
+    }
+
+    /// Records `by`'s report of the next order position it needs (the
+    /// [`Self::order_next`] it piggybacked). Only the sequencer uses it:
+    /// it answers order NACKs, so it keeps every position some member
+    /// has not reported holding.
+    pub fn note_order_next(&mut self, by: NodeId, next: u64) {
+        if !self.members.contains(&by) {
+            return;
+        }
+        let cur = self.order_next.entry(by).or_insert(1);
+        *cur = (*cur).max(next);
+    }
+
+    /// The next global order position this member needs: one past the
+    /// contiguous log it holds. Piggybacked with its acks so the
+    /// sequencer can drop positions every member holds.
+    #[must_use]
+    pub fn order_next(&self) -> u64 {
+        self.order_log_len() + 1
     }
 
     /// The member's own contiguously-received vector (what it would
@@ -333,9 +363,9 @@ impl DeliveryEngine {
             return None;
         }
         if !self.pending_order.is_empty() {
-            return Some(self.order_log.len() as u64 + 1);
+            return Some(self.order_next());
         }
-        let consumed_all = self.next_deliver_pos > self.order_log.len() as u64;
+        let consumed_all = self.next_deliver_pos > self.order_log_len();
         if consumed_all {
             let unordered_total = self.senders.values().any(|t| {
                 t.buffer.iter().any(|(&seq, m)| {
@@ -343,7 +373,7 @@ impl DeliveryEngine {
                 })
             });
             if unordered_total {
-                return Some(self.order_log.len() as u64 + 1);
+                return Some(self.order_next());
             }
         }
         None
@@ -362,18 +392,13 @@ impl DeliveryEngine {
         }
         for (i, &e) in entries.iter().enumerate() {
             let pos = start + i as u64;
-            let next = self.order_log.len() as u64 + 1;
-            match pos.cmp(&next) {
+            match pos.cmp(&self.order_next()) {
                 std::cmp::Ordering::Less => {} // duplicate
                 std::cmp::Ordering::Equal => {
-                    self.order_log.push(e);
+                    self.order_log.push_back(e);
                     // Drain any buffered successors.
-                    loop {
-                        let want = self.order_log.len() as u64 + 1;
-                        match self.pending_order.remove(&want) {
-                            Some(buffered) => self.order_log.push(buffered),
-                            None => break,
-                        }
+                    while let Some(buffered) = self.pending_order.remove(&self.order_next()) {
+                        self.order_log.push_back(buffered);
                     }
                 }
                 std::cmp::Ordering::Greater => {
@@ -383,27 +408,29 @@ impl DeliveryEngine {
         }
     }
 
-    /// Length of the global order log received/produced so far.
+    /// Length of the global order log received/produced so far,
+    /// dropped positions included.
     #[must_use]
     pub fn order_log_len(&self) -> u64 {
-        self.order_log.len() as u64
+        self.order_base + self.order_log.len() as u64
+    }
+
+    /// Order log entries still held (diagnostics / tests): what
+    /// [`Self::gc_stable`] has not dropped yet.
+    #[must_use]
+    pub fn order_log_retained(&self) -> usize {
+        self.order_log.len()
     }
 
     /// A slice of the order log from global position `from_pos`, for
-    /// answering order NACKs. Returns `(start, entries)`.
+    /// answering order NACKs. Returns `(start, entries)`. A request
+    /// reaching below the retained log starts at its first held
+    /// position: the dropped ones are held by every member already.
     #[must_use]
     pub fn order_log_slice(&self, from_pos: u64, max: usize) -> (u64, Vec<(NodeId, u64)>) {
-        let start = from_pos.max(1);
-        let idx = (start - 1) as usize;
-        if idx >= self.order_log.len() {
-            return (start, Vec::new());
-        }
-        let end = (idx + max).min(self.order_log.len());
-        let entries = self
-            .order_log
-            .get(idx..end)
-            .map(<[_]>::to_vec)
-            .unwrap_or_default();
+        let start = from_pos.max(self.order_base + 1);
+        let idx = usize::try_from(start - self.order_base - 1).unwrap_or(usize::MAX);
+        let entries = self.order_log.iter().skip(idx).take(max).copied().collect();
         (start, entries)
     }
 
@@ -448,7 +475,7 @@ impl DeliveryEngine {
                         if !deps_ok {
                             break;
                         }
-                        self.order_log.push((sender, next_seq));
+                        self.order_log.push_back((sender, next_seq));
                         new_entries.push((sender, next_seq));
                         self.seq_state.next_pos += 1;
                     }
@@ -609,7 +636,7 @@ impl DeliveryEngine {
     fn deliver_asymmetric(&mut self, out: &mut Vec<Arc<DataMsg>>) -> bool {
         let mut progressed = false;
         loop {
-            let idx = (self.next_deliver_pos - 1) as usize;
+            let idx = (self.next_deliver_pos - self.order_base - 1) as usize;
             let Some(&(sender, seq)) = self.order_log.get(idx) else {
                 break;
             };
@@ -676,8 +703,10 @@ impl DeliveryEngine {
     }
 
     /// Garbage-collects messages that are delivered locally and
-    /// acknowledged by every member.
+    /// acknowledged by every member, and order log positions nobody can
+    /// ask for again (see [`Self::gc_order_log`]).
     pub fn gc_stable(&mut self) {
+        self.gc_order_log();
         // Disjoint field borrows: `senders` is mutated while `members`,
         // `acked`, and `me` are only read.
         for (&sender, track) in &mut self.senders {
@@ -698,6 +727,26 @@ impl DeliveryEngine {
             if limit > 0 {
                 track.buffer.retain(|&seq, _| seq > limit);
             }
+        }
+    }
+
+    /// Drops order log positions below the first one still needed. A
+    /// member needs its next undelivered position; positions it has
+    /// delivered are never read again, because only the sequencer
+    /// answers order NACKs. The sequencer also keeps every position at
+    /// or above the lowest [`Self::note_order_next`] report of the other
+    /// members — a member that never reported holds back everything.
+    fn gc_order_log(&mut self) {
+        let mut keep_from = self.next_deliver_pos;
+        if self.is_sequencer() {
+            for &m in &self.members {
+                if m != self.me {
+                    keep_from = keep_from.min(self.order_next.get(&m).copied().unwrap_or(1));
+                }
+            }
+        }
+        while self.order_base + 1 < keep_from && self.order_log.pop_front().is_some() {
+            self.order_base += 1;
         }
     }
 
@@ -747,6 +796,7 @@ mod tests {
             order,
             deps: DepsVector::new(),
             acks: vec![],
+            order_next: 1,
             payload: Bytes::from(format!("{sender}:{seq}")),
         }
     }
@@ -1034,6 +1084,119 @@ mod tests {
         assert_eq!(entries, vec![(n(1), 2), (n(1), 3)]);
         let (_, empty) = seq.order_log_slice(99, 10);
         assert!(empty.is_empty());
+    }
+
+    /// Order records stay bounded: a 3-member group runs ten windows of
+    /// total-order multicasts, each member piggybacking its next needed
+    /// order position the way the member layer does, and no engine ever
+    /// holds more than one window of order log entries.
+    #[test]
+    fn order_log_is_bounded_by_a_window_at_every_member() {
+        const WINDOW: u64 = 64;
+        let members = [0, 1, 2];
+        let mut engines: Vec<DeliveryEngine> = members
+            .iter()
+            .map(|&m| engine(m, &members, OrderProtocol::Asymmetric))
+            .collect();
+        let mut delivered = [0u64; 3];
+        let mut seqs = [0u64; 3];
+        for round in 0..(10 * WINDOW) {
+            let sender = 2 * (round % 2) as u32;
+            seqs[sender as usize] += 1;
+            let mut m = msg(
+                sender,
+                seqs[sender as usize],
+                round + 1,
+                DeliveryOrder::Total,
+            );
+            m.order_next = engines[sender as usize].order_next();
+            let m = Arc::new(m);
+            for e in &mut engines {
+                e.note_order_next(m.sender, m.order_next);
+                e.ingest_data(Arc::clone(&m));
+            }
+            let entries = engines[0].sequencer_poll();
+            let start = engines[0].order_log_len() - entries.len() as u64 + 1;
+            for e in &mut engines[1..] {
+                e.ingest_order(start, &entries);
+            }
+            for (i, e) in engines.iter_mut().enumerate() {
+                delivered[i] += e.drain_deliverable().len() as u64;
+                e.gc_stable();
+            }
+            // Member 1 only ever receives: it reports every half window,
+            // as the standalone-ack rule has it.
+            if round % (WINDOW / 2) == 0 {
+                let next = engines[1].order_next();
+                engines[0].note_order_next(n(1), next);
+            }
+            for e in &engines {
+                assert!(
+                    e.order_log_retained() as u64 <= WINDOW,
+                    "round {round}: {} entries retained",
+                    e.order_log_retained()
+                );
+            }
+        }
+        assert_eq!(delivered, [10 * WINDOW; 3]);
+        for e in &engines {
+            assert_eq!(e.order_log_len(), 10 * WINDOW);
+        }
+    }
+
+    /// The sequencer keeps every position some member has not reported
+    /// holding, and serves it on an order NACK.
+    #[test]
+    fn sequencer_serves_every_position_a_member_has_not_reported() {
+        let mut seq = engine(0, &[0, 1, 2], OrderProtocol::Asymmetric);
+        for s in 1..=20 {
+            seq.ingest_data(msg(1, s, s, DeliveryOrder::Total));
+        }
+        let log = seq.sequencer_poll();
+        assert_eq!(seq.drain_deliverable().len(), 20);
+        // Member 1 holds all 20 records; member 2 reported holding 6.
+        seq.note_order_next(n(1), 21);
+        seq.note_order_next(n(2), 7);
+        seq.gc_stable();
+        assert_eq!(seq.order_log_retained(), 14);
+        let (start, entries) = seq.order_log_slice(7, usize::MAX);
+        assert_eq!(start, 7);
+        assert_eq!(entries, log[6..]);
+        // A stale NACK from below the retained log gets the held tail.
+        let (start, entries) = seq.order_log_slice(2, 3);
+        assert_eq!((start, entries.as_slice()), (7, &log[6..9]));
+        // Reports never move backwards; a non-member's are ignored.
+        seq.note_order_next(n(2), 3);
+        seq.note_order_next(n(9), 21);
+        seq.gc_stable();
+        assert_eq!(seq.order_log_retained(), 14);
+        // Without a report from member 2 nothing could go at all.
+        let mut fresh = engine(0, &[0, 1, 2], OrderProtocol::Asymmetric);
+        fresh.ingest_data(msg(1, 1, 1, DeliveryOrder::Total));
+        let _ = fresh.sequencer_poll();
+        let _ = fresh.drain_deliverable();
+        fresh.note_order_next(n(1), 2);
+        fresh.gc_stable();
+        assert_eq!(fresh.order_log_retained(), 1);
+    }
+
+    #[test]
+    fn non_sequencer_drops_delivered_positions_and_keeps_counting() {
+        let mut member = engine(1, &[0, 1], OrderProtocol::Asymmetric);
+        for s in 1..=3 {
+            member.ingest_data(msg(0, s, s, DeliveryOrder::Total));
+        }
+        member.ingest_order(1, &[(n(0), 1), (n(0), 2), (n(0), 3)]);
+        assert_eq!(member.drain_deliverable().len(), 3);
+        member.gc_stable();
+        assert_eq!(member.order_log_retained(), 0);
+        assert_eq!(member.order_next(), 4);
+        // A duplicate of a dropped position is ignored; the next one is
+        // taken in and delivered.
+        member.ingest_order(2, &[(n(0), 2), (n(0), 3), (n(0), 4)]);
+        member.ingest_data(msg(0, 4, 4, DeliveryOrder::Total));
+        assert_eq!(ids(&member.drain_deliverable()), vec![(0, 4)]);
+        assert_eq!(member.order_gap(), None);
     }
 
     // --- stability & GC ---------------------------------------------------

@@ -648,6 +648,17 @@ impl GcsMember {
         self.timer_routes.contains_key(&tag)
     }
 
+    /// Entries the delivery engines of all this member's groups hold:
+    /// buffered messages plus retained order log positions. Bounded by
+    /// the flow windows, not by how long the member has run.
+    #[must_use]
+    pub fn engine_retained(&self) -> usize {
+        self.groups
+            .values()
+            .map(|s| s.engine.buffered_count() + s.engine.order_log_retained())
+            .sum()
+    }
+
     /// Internal-state summary for debugging and tests.
     #[doc(hidden)]
     #[must_use]
@@ -925,6 +936,7 @@ impl GcsMember {
             order,
             deps: DepsVector::from_pairs(state.engine.delivered_vector()),
             acks: state.engine.contig_vector(),
+            order_next: state.engine.order_next(),
             payload,
         };
         let msg = Arc::new(msg);
@@ -1096,6 +1108,7 @@ impl GcsMember {
         state.last_heard.insert(d.sender, now);
         state.last_activity = now;
         state.engine.apply_acks(d.sender, &d.acks);
+        state.engine.note_order_next(d.sender, d.order_next);
         // The piggybacked ack vector doubles as flow-control credit
         // replenishment: the entry about this node is the contiguous
         // prefix of our multicasts the sender has received.
@@ -1145,6 +1158,7 @@ impl GcsMember {
             lamport,
             last_seq: state.next_seq - 1,
             acks: state.engine.contig_vector(),
+            order_next: state.engine.order_next(),
         });
         let targets: Vec<NodeId> = state
             .view
@@ -1175,6 +1189,7 @@ impl GcsMember {
         state.last_heard.insert(n.sender, now);
         state.engine.note_null(n.sender, n.lamport, n.last_seq);
         state.engine.apply_acks(n.sender, &n.acks);
+        state.engine.note_order_next(n.sender, n.order_next);
         // Nulls replenish send credits too — the time-silence mechanism
         // carries flow control for free (see `on_data`).
         if let Some(&(_, upto)) = n.acks.iter().find(|(m, _)| *m == self.node) {
@@ -2352,6 +2367,7 @@ mod tests {
             order: DeliveryOrder::Causal,
             deps: DepsVector::from_pairs(Vec::new()),
             acks: vec![(n(0), 1)],
+            order_next: 1,
             payload: Bytes::from_static(b"y"),
         };
         m.on_message(
@@ -2489,6 +2505,7 @@ mod tests {
             order: DeliveryOrder::Total,
             deps: DepsVector::new(),
             acks: vec![(n(0), seq)],
+            order_next: 1,
             payload: Bytes::from(format!("payload-{seq}")),
         }))
     }

@@ -43,6 +43,10 @@ pub struct DataMsg {
     pub deps: DepsVector,
     /// Piggybacked acknowledgement vector (receiver stability input).
     pub acks: ContigVector,
+    /// The sender's next needed global order position (asymmetric
+    /// protocol; lets the sequencer drop order records every member
+    /// holds). Always 1 under the symmetric protocol.
+    pub order_next: u64,
     /// Application payload.
     pub payload: Bytes,
 }
@@ -74,6 +78,9 @@ pub struct NullMsg {
     pub last_seq: u64,
     /// Piggybacked acknowledgement vector.
     pub acks: ContigVector,
+    /// The sender's next needed global order position (see
+    /// [`DataMsg::order_next`]).
+    pub order_next: u64,
 }
 
 /// All messages exchanged by the group communication service.
@@ -296,6 +303,7 @@ impl CdrEncode for DataMsg {
         enc.write_u8(self.order.code());
         write_deps(enc, &self.deps);
         self.acks.encode(enc);
+        enc.write_u64(self.order_next);
         enc.write_bytes(&self.payload);
     }
 }
@@ -311,6 +319,7 @@ impl CdrDecode for DataMsg {
             order: DeliveryOrder::from_code(dec.read_u8()?)?,
             deps: read_deps(dec)?,
             acks: ContigVector::decode(dec)?,
+            order_next: dec.read_u64()?,
             payload: Bytes::decode(dec)?,
         })
     }
@@ -324,6 +333,7 @@ impl CdrEncode for NullMsg {
         enc.write_u64(self.lamport);
         enc.write_u64(self.last_seq);
         self.acks.encode(enc);
+        enc.write_u64(self.order_next);
     }
 }
 
@@ -336,6 +346,7 @@ impl CdrDecode for NullMsg {
             lamport: dec.read_u64()?,
             last_seq: dec.read_u64()?,
             acks: ContigVector::decode(dec)?,
+            order_next: dec.read_u64()?,
         })
     }
 }
@@ -603,6 +614,7 @@ mod tests {
             order: DeliveryOrder::Total,
             deps: DepsVector::from_pairs([(n(1), 4), (n(3), 2)]),
             acks: vec![(n(1), 4), (n(2), 17)],
+            order_next: 6,
             payload: Bytes::from_static(b"body"),
         }
     }
@@ -626,6 +638,7 @@ mod tests {
                 lamport: 7,
                 last_seq: 4,
                 acks: vec![(n(2), 3)],
+                order_next: 2,
             }),
             GcsMessage::Nack {
                 group: g.clone(),
@@ -711,6 +724,7 @@ mod tests {
                 lamport: 8,
                 last_seq: 1,
                 acks: vec![],
+                order_next: 1,
             }),
         ]);
         assert_eq!(GcsMessage::from_cdr(&b.to_cdr()).unwrap(), b);
@@ -754,6 +768,7 @@ mod tests {
                 order: if total { DeliveryOrder::Total } else { DeliveryOrder::Causal },
                 deps: DepsVector::from_pairs(deps.iter().map(|&(i, s)| (n(i), s))),
                 acks: vec![],
+                order_next: 1,
                 payload: Bytes::from(payload),
             };
             prop_assert_eq!(DataMsg::from_cdr(&d.to_cdr()).unwrap(), d);

@@ -372,6 +372,13 @@ impl ShardedGcs {
         }
     }
 
+    /// Entries held by the delivery engines of every shard (see
+    /// [`GcsMember::engine_retained`]).
+    #[must_use]
+    pub fn engine_retained(&self) -> usize {
+        self.shards.iter().map(GcsMember::engine_retained).sum()
+    }
+
     /// Per-shard observability registries (metrics and traces); the owner
     /// merges them into its own view.
     pub fn observabilities(&self) -> impl Iterator<Item = &Observability> {

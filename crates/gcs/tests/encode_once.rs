@@ -52,6 +52,7 @@ fn build_message(
             },
             deps: DepsVector::from_pairs(deps.into_iter().map(|(q, p)| (n(q), p))),
             acks: vec![(n(sender), seq.saturating_sub(1))],
+            order_next: 1,
             payload: Bytes::from(payload),
         })),
         1 => GcsMessage::Null(NullMsg {
@@ -61,6 +62,7 @@ fn build_message(
             lamport,
             last_seq: seq,
             acks: vec![],
+            order_next: 1,
         }),
         _ => GcsMessage::Nack {
             group: GroupId::new("prop"),

@@ -49,6 +49,7 @@ fn history(senders: u32, per_sender: u64, causal_every: u64) -> Vec<DataMsg> {
                 order,
                 deps,
                 acks: vec![],
+                order_next: 1,
                 payload: Bytes::from(format!("{s}:{seq}")),
             });
         }
@@ -234,6 +235,7 @@ proptest! {
             order: DeliveryOrder::Total,
             deps: DepsVector::default(),
             acks: vec![],
+            order_next: 1,
             payload: Bytes::from(vec![fill; size]),
         });
         let _ = e.ingest_data(Arc::clone(&msg));

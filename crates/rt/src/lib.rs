@@ -6,18 +6,17 @@
 //! [`newtop_net::tcp::TcpEndpoint`]), so the runnable examples are
 //! genuinely concurrent programs rather than simulations.
 //!
-//! Each node runs an event loop over one bounded event queue that
-//! carries incoming packets, application commands and the stop signal.
-//! The loop blocks on that queue until the next timer is due
-//! (`recv_timeout`), so an idle node sleeps instead of polling, and a
-//! command or packet wakes it at once. With more than one shard
-//! configured ([`RuntimeOptions::with_shards`]), packet ingress is
-//! parallelised across shard workers: a distributor fans incoming
-//! packets out to `N` bounded worker queues by source (preserving
-//! per-source FIFO order), each worker pre-decodes and unbatches GCS
-//! frames ([`Nso::decode_gcs_frame`] — the CPU-heavy part of ingress),
-//! and the decoded messages fan back into the event queue, and the loop
-//! applies them to the per-shard protocol engines. Applications drive the node
+//! Each node runs an event loop that takes packets straight off the
+//! transport's bounded ingress queue and decodes each frame itself in
+//! [`Nso::on_packet`]: a frame costs one thread hand-off (transport
+//! reader to loop) to be handled. The loop blocks on that queue until
+//! the next timer is due (`recv_timeout`), so an idle node sleeps
+//! instead of polling. Application commands and the stop signal travel
+//! on a second bounded queue; the sender rings the ingress queue's
+//! [`Waker`] after each, so a command wakes the loop at once too. With
+//! more than one shard configured ([`RuntimeOptions::with_shards`]) the
+//! loop applies messages to per-shard protocol engines; the engines run
+//! serially on the loop thread. Applications drive the node
 //! through a [`NodeHandle`]: [`NodeHandle::with_nso`] runs a closure
 //! against the NSO inside the loop (so no locking is ever needed), and
 //! [`NodeHandle::outputs`] / [`NodeHandle::wait_for_output`] receive the
@@ -42,14 +41,17 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use newtop_flow::queue::{bounded, QueueStats, Receiver, RecvTimeoutError, Sender};
+use newtop_flow::queue::{
+    bounded, QueueStats, Receiver, RecvTimeoutError, SendError, Sender, TryRecvError, Waker,
+};
 use newtop_flow::FlowConfig;
 
 use newtop::nso::{Nso, NsoOptions, NsoOutput};
-use newtop_gcs::messages::GcsMessage;
 use newtop_net::sim::{Outbox, Packet, TimerId};
 use newtop_net::site::NodeId;
 use newtop_net::time::SimTime;
@@ -87,7 +89,8 @@ impl RuntimeOptions {
 
     /// Sets the number of protocol shards (clamped to at least 1).
     /// Groups hash to a shard; each shard owns its engines, clock
-    /// domain, flow ledgers, and ingress queue.
+    /// domain and flow ledgers. All shards run on the node's event loop
+    /// thread.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -131,22 +134,21 @@ impl RuntimeOptions {
 
 type Command = Box<dyn FnOnce(&mut Nso, SimTime, &mut Outbox) + Send>;
 
-/// What the event loop waits for, all on one bounded queue: ingress from
-/// the network (a raw packet — the single-shard path, and anything the
-/// workers decline to pre-decode — or the decoded GCS messages of one or
-/// more frames), application commands, and the stop signal.
-enum Event {
-    Raw(Packet),
-    Gcs(Vec<GcsMessage>),
-    Command(Command),
+/// What applications send the event loop, besides the packets it takes
+/// from the transport.
+enum Control {
+    Run(Command),
     Stop,
 }
 
 /// A handle to a node hosted by [`NodeRuntime::spawn`].
 pub struct NodeHandle {
     node: NodeId,
-    events: Sender<Event>,
+    control: Sender<Control>,
+    /// Rings the loop's packet-queue wait after each control message.
+    wake: Waker<Packet>,
     outputs: Receiver<NsoOutput>,
+    send_errors: Arc<AtomicU64>,
     join: Option<JoinHandle<()>>,
 }
 
@@ -180,8 +182,7 @@ impl NodeHandle {
             // has a receiver.
             let _ = tx.send(f(nso, now, out));
         });
-        self.events
-            .send(Event::Command(command))
+        self.send_control(Control::Run(command))
             .expect("node event loop stopped");
         rx.recv().expect("node event loop stopped")
     }
@@ -199,6 +200,14 @@ impl NodeHandle {
     #[must_use]
     pub fn output_stats(&self) -> QueueStats {
         self.outputs.stats()
+    }
+
+    /// Frames the transport failed to send since the node started. The
+    /// protocol layers recover from a lost frame (NACKs, suspicion), so
+    /// the loop carries on; the count says how often it had to.
+    #[must_use]
+    pub fn send_errors(&self) -> u64 {
+        self.send_errors.load(Ordering::Relaxed)
     }
 
     /// Waits until an output matching `pred` arrives (discarding
@@ -231,8 +240,15 @@ impl NodeHandle {
         };
         // A loop that already exited has dropped its receiver; then the
         // send fails and there is nothing left to stop.
-        let _ = self.events.send(Event::Stop);
+        let _ = self.send_control(Control::Stop);
         let _ = join.join();
+    }
+
+    /// Queues `msg` for the loop and wakes it.
+    fn send_control(&self, msg: Control) -> Result<(), SendError<Control>> {
+        self.control.send(msg)?;
+        self.wake.wake();
+        Ok(())
     }
 }
 
@@ -246,132 +262,92 @@ impl Drop for NodeHandle {
 pub struct NodeRuntime;
 
 impl NodeRuntime {
-    /// Spawns a node: an NSO event loop over `transport` (which names
-    /// the node via [`WireTransport::local`]), receiving packets from
-    /// `incoming`, configured by `opts`.
-    ///
-    /// With `opts.shards() > 1` the runtime also spawns an ingress
-    /// distributor and one decode worker per shard (threads
-    /// `newtop-rt-shard{k}-{node}`); see the crate docs for the
-    /// pipeline. With one shard, packets flow straight into the event
-    /// loop as before.
+    /// Spawns a node: an NSO event loop (thread `nso-{node}`) over
+    /// `transport` (which names the node via [`WireTransport::local`]),
+    /// taking packets straight from `incoming`, configured by `opts`.
+    /// See the crate docs.
     pub fn spawn<T: WireTransport>(
         transport: T,
         incoming: Receiver<Packet>,
         opts: RuntimeOptions,
     ) -> NodeHandle {
         let node = transport.local();
-        let (event_tx, event_rx) = bounded::<Event>(opts.flow.queue_capacity);
+        let (control_tx, control_rx) = bounded::<Control>(opts.flow.queue_capacity);
         let (out_tx, out_rx) = bounded::<NsoOutput>(opts.flow.queue_capacity);
-        spawn_ingress(node, incoming, &opts, &event_tx);
+        let wake = incoming.waker();
+        let send_errors = Arc::new(AtomicU64::new(0));
+        let loop_send_errors = Arc::clone(&send_errors);
+        let mut inputs = Inputs {
+            packets: incoming,
+            packets_open: true,
+            control: control_rx,
+        };
         let join = std::thread::Builder::new()
             .name(format!("nso-{node}"))
-            .spawn(move || event_loop(node, &transport, &opts, &event_rx, &out_tx))
+            .spawn(move || {
+                event_loop(
+                    node,
+                    &transport,
+                    &opts,
+                    &mut inputs,
+                    &out_tx,
+                    &loop_send_errors,
+                );
+            })
             .expect("failed to spawn node thread");
         NodeHandle {
             node,
-            events: event_tx,
+            control: control_tx,
+            wake,
             outputs: out_rx,
+            send_errors,
             join: Some(join),
         }
     }
 }
 
-/// Builds the ingress pipeline into the event queue. With one shard a
-/// forwarder moves packets from `incoming` onto it; otherwise a
-/// distributor thread fans packets out to per-shard decode workers
-/// (hashing on the source so per-source FIFO order survives) and the
-/// workers' decoded output fans back in onto it. Every stage blocks on a
-/// full queue, so backpressure reaches the transport.
-fn spawn_ingress(
-    node: NodeId,
-    incoming: Receiver<Packet>,
-    opts: &RuntimeOptions,
-    events: &Sender<Event>,
-) {
-    let capacity = opts.flow.queue_capacity;
-    if opts.shards == 1 {
-        let tx = events.clone();
-        std::thread::Builder::new()
-            .name(format!("newtop-rt-ingress-{node}"))
-            .spawn(move || {
-                while let Ok(pkt) = incoming.recv() {
-                    if tx.send(Event::Raw(pkt)).is_err() {
-                        return;
-                    }
-                }
-            })
-            .expect("failed to spawn ingress thread");
-        return;
-    }
-    let mut shard_queues = Vec::with_capacity(opts.shards);
-    for k in 0..opts.shards {
-        let (tx, rx) = bounded::<Packet>(capacity);
-        shard_queues.push(tx);
-        let fan_in = events.clone();
-        std::thread::Builder::new()
-            .name(format!("newtop-rt-shard{k}-{node}"))
-            .spawn(move || decode_worker(&rx, &fan_in))
-            .expect("failed to spawn shard worker");
-    }
-    std::thread::Builder::new()
-        .name(format!("newtop-rt-ingress-{node}"))
-        .spawn(move || {
-            while let Ok(pkt) = incoming.recv() {
-                let shard = (fnv1a(pkt.src.index()) as usize) % shard_queues.len();
-                if shard_queues[shard].send(pkt).is_err() {
-                    return;
-                }
-            }
-        })
-        .expect("failed to spawn ingress thread");
+/// The event loop's two sources.
+struct Inputs {
+    packets: Receiver<Packet>,
+    /// False once the transport has dropped its end of `packets`.
+    packets_open: bool,
+    control: Receiver<Control>,
 }
 
-/// Most frames one decode worker folds into a single [`Event::Gcs`].
-const MAX_BURST: usize = 64;
-
-/// A shard worker: decodes GCS frames off the event loop. Frames that
-/// are already queued when one arrives go to the loop as one event, so a
-/// burst costs the loop one wake-up rather than one per frame (on a
-/// saturated host the per-frame wake-ups showed up in the call-latency
-/// tail); a lone frame goes at once. Raw packets keep their place in the
-/// order.
-fn decode_worker(rx: &Receiver<Packet>, events: &Sender<Event>) {
-    while let Ok(first) = rx.recv() {
-        let mut msgs = Vec::new();
-        let mut next = Some(first);
-        while let Some(pkt) = next.take() {
-            match Nso::decode_gcs_frame(&pkt.payload) {
-                Some(decoded) => msgs.extend(decoded),
-                None => {
-                    if !msgs.is_empty()
-                        && events.send(Event::Gcs(std::mem::take(&mut msgs))).is_err()
-                    {
-                        return;
-                    }
-                    if events.send(Event::Raw(pkt)).is_err() {
-                        return;
-                    }
-                }
-            }
-            if msgs.len() < MAX_BURST {
-                next = rx.try_recv().ok();
-            }
-        }
-        if !msgs.is_empty() && events.send(Event::Gcs(msgs)).is_err() {
-            return;
-        }
-    }
+/// What ended the loop's wait.
+enum Wakeup {
+    Packet(Packet),
+    Control(Control),
+    /// A timer is due, or a control message may be queued.
+    Poll,
+    /// Every control sender is gone.
+    Closed,
 }
 
-/// FNV-1a over the source id — cheap, deterministic shard placement.
-fn fnv1a(x: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in x.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl Inputs {
+    /// Waits up to `timeout` for the next input. Queued control messages
+    /// come first: there are few, and a caller blocks on each. Once the
+    /// transport has dropped its end of the packet queue, the loop waits
+    /// on the control queue alone.
+    fn next(&mut self, timeout: Duration) -> Wakeup {
+        match self.control.try_recv() {
+            Ok(msg) => return Wakeup::Control(msg),
+            Err(TryRecvError::Disconnected) => return Wakeup::Closed,
+            Err(TryRecvError::Empty) => {}
+        }
+        if self.packets_open {
+            match self.packets.recv_timeout(timeout) {
+                Ok(pkt) => return Wakeup::Packet(pkt),
+                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Woken) => return Wakeup::Poll,
+                Err(RecvTimeoutError::Disconnected) => self.packets_open = false,
+            }
+        }
+        match self.control.recv_timeout(timeout) {
+            Ok(msg) => Wakeup::Control(msg),
+            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Woken) => Wakeup::Poll,
+            Err(RecvTimeoutError::Disconnected) => Wakeup::Closed,
+        }
     }
-    h
 }
 
 struct TimerEntry {
@@ -402,8 +378,9 @@ fn event_loop(
     node: NodeId,
     transport: &dyn WireTransport,
     opts: &RuntimeOptions,
-    events: &Receiver<Event>,
+    inputs: &mut Inputs,
     outputs: &Sender<NsoOutput>,
+    send_errors: &AtomicU64,
 ) {
     let start = Instant::now();
     let mut nso = Nso::with_options(
@@ -435,45 +412,36 @@ fn event_loop(
         for (_, tag) in due {
             let mut out = Outbox::detached(next_outbox_timer);
             nso.on_timer(tag, now(start), &mut out);
-            next_outbox_timer =
-                apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
+            next_outbox_timer = apply_outbox(
+                transport,
+                &mut timers,
+                &mut cancelled,
+                &mut timer_seq,
+                send_errors,
+                out,
+            );
             drain_outputs(&mut nso, outputs);
         }
 
-        // Sleep until the next event, or until the next timer is due.
-        let event = match timers.peek() {
-            Some(Reverse(t)) => {
-                match events.recv_timeout(t.deadline.saturating_duration_since(Instant::now())) {
-                    Ok(event) => event,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-            None => match events.recv() {
-                Ok(event) => event,
-                Err(_) => return,
-            },
-        };
+        // Sleep until the next input, or until the next timer is due.
+        let timeout = timers.peek().map_or(Duration::MAX, |Reverse(t)| {
+            t.deadline.saturating_duration_since(Instant::now())
+        });
         let mut out = Outbox::detached(next_outbox_timer);
-        match event {
-            Event::Raw(pkt) => nso.on_packet(&pkt, now(start), &mut out),
-            Event::Gcs(msgs) => {
-                for msg in msgs {
-                    nso.on_gcs_message(msg, now(start), &mut out);
-                    // Each message's sends and outputs leave before the
-                    // next message of a burst is handled.
-                    let done = std::mem::replace(&mut out, Outbox::detached(0));
-                    next_outbox_timer =
-                        apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, done);
-                    out = Outbox::detached(next_outbox_timer);
-                    drain_outputs(&mut nso, outputs);
-                }
-            }
-            Event::Command(cmd) => cmd(&mut nso, now(start), &mut out),
-            Event::Stop => return,
+        match inputs.next(timeout) {
+            Wakeup::Packet(pkt) => nso.on_packet(&pkt, now(start), &mut out),
+            Wakeup::Control(Control::Run(cmd)) => cmd(&mut nso, now(start), &mut out),
+            Wakeup::Poll => continue,
+            Wakeup::Control(Control::Stop) | Wakeup::Closed => return,
         }
-        next_outbox_timer =
-            apply_outbox(transport, &mut timers, &mut cancelled, &mut timer_seq, out);
+        next_outbox_timer = apply_outbox(
+            transport,
+            &mut timers,
+            &mut cancelled,
+            &mut timer_seq,
+            send_errors,
+            out,
+        );
         drain_outputs(&mut nso, outputs);
     }
 }
@@ -483,6 +451,7 @@ fn apply_outbox(
     timers: &mut BinaryHeap<Reverse<TimerEntry>>,
     cancelled: &mut HashSet<TimerId>,
     timer_seq: &mut u64,
+    send_errors: &AtomicU64,
     out: Outbox,
 ) -> u64 {
     let parts = out.into_parts();
@@ -503,9 +472,11 @@ fn apply_outbox(
         }));
     }
     for (dst, payload) in parts.sends {
-        // Best effort: the protocol layers handle loss via NACKs and
-        // suspicion.
-        let _ = transport.send(dst, payload);
+        // The protocol layers recover a lost frame via NACKs and
+        // suspicion, so a failed send is counted, not retried here.
+        if transport.send(dst, payload).is_err() {
+            send_errors.fetch_add(1, Ordering::Relaxed);
+        }
     }
     parts.next_timer
 }
@@ -523,7 +494,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use newtop::nso::BindOptions;
-    use newtop_gcs::group::{GroupConfig, GroupId};
+    use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
     use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
     use newtop_net::channel::ChannelNetwork;
 
@@ -543,6 +514,56 @@ mod tests {
         let nodes = spawn_cluster(1, &RuntimeOptions::new());
         let id = nodes[0].with_nso(|nso, _, _| nso.node());
         assert_eq!(id, NodeId::from_index(0));
+    }
+
+    #[test]
+    fn failed_sends_are_counted() {
+        let net = ChannelNetwork::new();
+        let nodes = [0, 1].map(|i| {
+            let id = NodeId::from_index(i);
+            let (transport, rx) = net.endpoint(id);
+            NodeRuntime::spawn(transport, rx, RuntimeOptions::new())
+        });
+        let members: Vec<NodeId> = (0..2).map(NodeId::from_index).collect();
+        let group = GroupId::new("lossy");
+        // Node 1 leaves the network: every frame to it now fails.
+        net.remove(NodeId::from_index(1));
+        nodes[0].with_nso(move |nso, now, out| {
+            nso.create_peer_group(group.clone(), members, GroupConfig::peer(), now, out)
+                .unwrap();
+            let peer = nso.handle_for(&group).unwrap();
+            peer.send(
+                nso,
+                Bytes::from_static(b"x"),
+                DeliveryOrder::Total,
+                now,
+                out,
+            )
+            .unwrap();
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while nodes[0].send_errors() == 0 {
+            assert!(Instant::now() < deadline, "no send error counted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn commands_run_before_and_after_the_transport_closes() {
+        let net = ChannelNetwork::new();
+        let id = NodeId::from_index(0);
+        let (transport, rx) = net.endpoint(id);
+        let node = NodeRuntime::spawn(transport, rx, RuntimeOptions::new());
+        assert_eq!(node.with_nso(|nso, _, _| nso.node()), id);
+        // Dropping the network drops the only sender of the node's packet
+        // queue; the loop must keep serving commands, and stop on request.
+        net.remove(id);
+        drop(net);
+        for _ in 0..3 {
+            assert_eq!(node.with_nso(|nso, _, _| nso.node()), id);
+        }
+        assert_eq!(node.send_errors(), 0);
+        node.shutdown();
     }
 
     #[test]

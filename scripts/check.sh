@@ -38,6 +38,9 @@ cargo run --release --offline -q -p newtop-analyze -- \
 echo "==> cargo test -q"
 cargo test --workspace --offline -q
 
+echo "==> perfbench's own tests (every workload passes its output checks on this runtime)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> loom model tests compile (--cfg loom)"
 RUSTFLAGS="--cfg loom" cargo test --offline -q -p newtop-flow --no-run
 

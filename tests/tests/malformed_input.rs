@@ -144,6 +144,7 @@ fn sample_data_msg() -> DataMsg {
         order: DeliveryOrder::Total,
         deps,
         acks: vec![(node(1), 8), (node(2), 9)],
+        order_next: 13,
         payload: Bytes::from_static(b"state delta"),
     }
 }
@@ -226,6 +227,7 @@ fn samples() -> Vec<(&'static str, Bytes, DecodeFn)> {
                 lamport: 40,
                 last_seq: 6,
                 acks: vec![(node(1), 8)],
+                order_next: 12,
             }),
         ),
         (

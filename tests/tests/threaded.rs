@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use newtop::nso::{BindOptions, NsoOutput};
+use newtop::nso::{BindOptions, GroupHandle, NsoOutput};
 use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
 use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
 use newtop_net::channel::ChannelNetwork;
@@ -151,6 +151,10 @@ fn request_reply_over_real_tcp_sockets() {
 
 /// Spawns `n` nodes over loopback TCP, every node knowing every other.
 fn spawn_tcp_cluster(n: u32) -> (Vec<NodeHandle>, Vec<TcpEndpoint>) {
+    spawn_tcp_cluster_with(n, &RuntimeOptions::new())
+}
+
+fn spawn_tcp_cluster_with(n: u32, opts: &RuntimeOptions) -> (Vec<NodeHandle>, Vec<TcpEndpoint>) {
     let ids: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
     let mut endpoints = Vec::new();
     let mut rxs = Vec::new();
@@ -170,7 +174,7 @@ fn spawn_tcp_cluster(n: u32) -> (Vec<NodeHandle>, Vec<TcpEndpoint>) {
     let nodes = endpoints
         .iter()
         .zip(rxs)
-        .map(|(ep, rx)| NodeRuntime::spawn(ep.handle(), rx, RuntimeOptions::new()))
+        .map(|(ep, rx)| NodeRuntime::spawn(ep.handle(), rx, opts.clone()))
         .collect();
     (nodes, endpoints)
 }
@@ -220,6 +224,165 @@ fn closed_binding_sustains_sequential_calls_without_credit_stalls() {
     let shed = client.with_nso(|nso, _, _| nso.metrics().counter("flow.shed"));
     assert_eq!(shed, 0);
     for n in nodes {
+        n.shutdown();
+    }
+    for mut ep in endpoints {
+        ep.shutdown();
+    }
+}
+
+/// Sums the `gcs.engine_retained` gauge over `nodes`.
+fn engine_retained(nodes: &[NodeHandle]) -> i64 {
+    nodes
+        .iter()
+        .map(|n| {
+            n.with_nso(|nso, _, _| nso.metrics().gauges.get("gcs.engine_retained").copied())
+                .expect("gauge reported")
+        })
+        .sum()
+}
+
+/// Issues `calls` sequential closed calls and waits for each.
+fn run_calls(client: &NodeHandle, binding: &GroupHandle, calls: u64) {
+    for i in 0..calls {
+        let b = binding.clone();
+        let call = client
+            .with_nso(move |nso, now, out| {
+                b.invoke(nso, "call", Bytes::new(), ReplyMode::All, now, out)
+            })
+            .unwrap_or_else(|e| panic!("call {i} refused: {e}"));
+        client
+            .wait_for_output(
+                Duration::from_secs(10),
+                |o| matches!(o, NsoOutput::InvocationComplete { call: c, .. } if *c == call),
+            )
+            .unwrap_or_else(|| panic!("call {i} did not complete"));
+    }
+}
+
+/// What the delivery engines hold — buffered messages and the
+/// asymmetric order log — does not grow with the number of calls
+/// served: a run ten times longer ends with no more retained than a
+/// flow window per group member, as the short run does. Without the
+/// order-log trimming every member keeps every order position, and the
+/// short run alone breaks the bound.
+#[test]
+fn engine_memory_stays_flat_over_a_ten_times_longer_run() {
+    let (nodes, endpoints) = spawn_tcp_cluster(4);
+    let servers: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+    let group = GroupId::new("tcp-flat");
+    setup_service(&nodes, &servers, &group);
+    let client = &nodes[3];
+    let g = group.clone();
+    let binding = client.with_nso(move |nso, now, out| {
+        nso.bind(g, BindOptions::closed(servers), now, out).unwrap()
+    });
+    client
+        .wait_for_output(Duration::from_secs(15), |o| {
+            matches!(o, NsoOutput::BindingReady { .. })
+        })
+        .expect("binding established");
+    let window = GroupConfig::request_reply().flow_window;
+    run_calls(client, &binding, 2 * window);
+    let short = engine_retained(&nodes);
+    run_calls(client, &binding, 20 * window);
+    let long = engine_retained(&nodes);
+    // Four members, each holding at most about a window of each
+    // sender's messages and of order records.
+    let bound = i64::try_from(4 * 2 * window).unwrap();
+    assert!(short <= bound, "short run retains {short} > {bound}");
+    assert!(
+        long <= bound,
+        "10x longer run retains {long} > {bound} (short: {short})"
+    );
+    for n in nodes {
+        n.shutdown();
+    }
+    for mut ep in endpoints {
+        ep.shutdown();
+    }
+}
+
+/// Four protocol shards per node over TCP: one sender's causal
+/// multicasts, spread round-robin over four peer groups (so over several
+/// shards), reach every member in the order they were sent, and closed
+/// calls to a replicated service complete.
+#[test]
+fn sharded_nodes_over_tcp_keep_per_source_fifo_and_complete_calls() {
+    let opts = RuntimeOptions::new().with_shards(4);
+    let (nodes, endpoints) = spawn_tcp_cluster_with(4, &opts);
+    let members: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+    let groups: Vec<GroupId> = (0..4).map(|i| GroupId::new(format!("fifo-{i}"))).collect();
+    for handle in &nodes[..3] {
+        for group in &groups {
+            let group = group.clone();
+            let members = members.clone();
+            handle.with_nso(move |nso, now, out| {
+                nso.create_peer_group(group, members, GroupConfig::peer(), now, out)
+                    .unwrap();
+            });
+        }
+    }
+    let sender = &nodes[0];
+    for group in &groups {
+        let g = group.clone();
+        sender.with_nso(move |nso, now, out| {
+            let peer = nso.handle_for(&g).unwrap();
+            peer.send(
+                nso,
+                Bytes::from_static(b"warm-up"),
+                DeliveryOrder::Causal,
+                now,
+                out,
+            )
+            .unwrap();
+        });
+    }
+    const SENDS: u32 = 128;
+    for i in 0..SENDS {
+        let g = groups[i as usize % groups.len()].clone();
+        sender.with_nso(move |nso, now, out| {
+            let peer = nso.handle_for(&g).unwrap();
+            peer.send(
+                nso,
+                Bytes::from(i.to_be_bytes().to_vec()),
+                DeliveryOrder::Causal,
+                now,
+                out,
+            )
+            .unwrap();
+        });
+    }
+    for handle in &nodes[1..3] {
+        let mut next = 0u32;
+        while next < SENDS {
+            let o = handle
+                .wait_for_output(
+                    Duration::from_secs(15),
+                    |o| matches!(o, NsoOutput::PeerDeliver { payload, .. } if payload.len() == 4),
+                )
+                .unwrap_or_else(|| panic!("{}: multicast {next} not delivered", handle.node()));
+            let NsoOutput::PeerDeliver { group, payload, .. } = o else {
+                unreachable!()
+            };
+            let got = u32::from_be_bytes(payload[..].try_into().unwrap());
+            assert_eq!(got, next, "{}: out of send order", handle.node());
+            assert_eq!(group, groups[got as usize % groups.len()]);
+            next += 1;
+        }
+    }
+
+    let servers = members;
+    let group = GroupId::new("sharded-svc");
+    setup_service(&nodes, &servers, &group);
+    for _ in 0..3 {
+        assert_eq!(
+            bind_and_invoke(&nodes[3], &group, servers.clone(), false),
+            3
+        );
+    }
+    for n in nodes {
+        assert_eq!(n.send_errors(), 0);
         n.shutdown();
     }
     for mut ep in endpoints {
