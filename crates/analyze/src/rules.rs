@@ -2,8 +2,8 @@
 //!
 //! Two tiers. The *per-body* families scan each non-test function's
 //! token stream independently (determinism, boundedness, direct lock
-//! hygiene, durability, cross-shard channel ownership) — exactly the
-//! PR 5 shapes. The *reachability* families run over the workspace
+//! hygiene, durability) — the analyzer's original shapes. The
+//! *reachability* families run over the workspace
 //! [`crate::graph::CallGraph`] and ask questions no single body can
 //! answer: is a panic reachable from a decode boundary two calls away?
 //! do two functions acquire the same pair of locks in opposite orders?
@@ -61,7 +61,7 @@ pub const BOUNDED_EXEMPT_CRATE: &str = "flow";
 /// Crates traversed for transitive panic-freedom (rule 2). PR 5 scoped
 /// this to the four crates holding decode entry points; the call graph
 /// now follows message paths wherever they go — through the flow queues,
-/// the shard runtime, and `newtop-dir`'s recovery code. The harness
+/// the threaded runtime, and `newtop-dir`'s recovery code. The harness
 /// crates (`check`, `workloads`, `bench`, the analyzer) and `newtop-net`
 /// (transport/clock owner, threaded code with legitimate startup
 /// panics) stay out: their name collisions would only manufacture
@@ -81,19 +81,19 @@ pub const ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
 ];
 
 /// Event-loop handlers (rules 2 and 8): the functions the `newtop-rt`
-/// event loop (`nso-{node}`) invokes per packet and timer, the shard
-/// engines' handlers they dispatch to, and the pre-decoded ingress pair
+/// event loop (`nso-{node}`) invokes per packet and timer, the GCS
+/// member's handlers they dispatch to, and the pre-decoded ingress pair
 /// (`decode_gcs_frame` + `on_gcs_message`) a host may call instead of
 /// `on_packet`. Everything reachable from these runs on the loop thread
 /// with the whole node behind it: a panic kills the node, a blocking
-/// call stalls every group on every shard.
+/// call stalls every group the node belongs to.
 pub const WORKER_ENTRY_POINTS: &[(Option<&str>, Option<&str>)] = &[
     (Some("Nso"), Some("on_packet")),
     (Some("Nso"), Some("on_timer")),
     (Some("Nso"), Some("on_gcs_message")),
     (Some("Nso"), Some("decode_gcs_frame")),
-    (Some("ShardedGcs"), Some("on_message")),
-    (Some("ShardedGcs"), Some("on_timer")),
+    (Some("GcsMember"), Some("on_message")),
+    (Some("GcsMember"), Some("on_timer")),
 ];
 
 /// Handler names that seed the determinism-taint pass (rule 7): the
@@ -150,7 +150,6 @@ pub fn run_all(files: &[ParsedFile]) -> Vec<Finding> {
     determinism(files, &mut out);
     bounded(files, &mut out);
     lock_hygiene(files, &mut out);
-    cross_shard_channels(files, &mut out);
     durability(files, &mut out);
     panic_free(&graph, &mut out);
     lock_order(&graph, &mut out);
@@ -543,68 +542,6 @@ fn scan_guard_scope(
         }
         i += 1;
     }
-}
-
-/// Lock-hygiene extension (PR 6): cross-shard channel ownership. A
-/// function that constructs channel endpoints while dealing in shards is
-/// wiring a cross-shard hand-off, and only `newtop-rt` functions that
-/// spawn the threads such a hand-off needs may own those channels. The
-/// runtime has none today — every shard engine runs on the node's event
-/// loop (DESIGN.md §10) — so the rule keeps one from being open-coded
-/// elsewhere, outside the runtime's bounded ingress discipline.
-///
-/// Token shape, over-approximate like the other families: a production
-/// function body that mentions a `shard*` identifier AND calls
-/// `bounded(...)`/`unbounded(...)` (turbofish included) is flagged
-/// unless it lives in crate `rt` and also spawns a worker thread.
-fn cross_shard_channels(files: &[ParsedFile], out: &mut Vec<Finding>) {
-    for (file, item) in production_fns(files) {
-        // The analyzer's own rule plumbing names both shards and the
-        // bounded() rule function; it is not protocol wiring.
-        if crate_of(&file.path) == Some("analyze") {
-            continue;
-        }
-        let toks = body(file, item);
-        let mentions_shard = toks
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && t.text.to_ascii_lowercase().contains("shard"));
-        if !mentions_shard {
-            continue;
-        }
-        let spawns_worker = toks.iter().enumerate().any(|(i, t)| {
-            t.kind == TokKind::Ident
-                && t.text == "spawn"
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-        });
-        if crate_of(&file.path) == Some("rt") && spawns_worker {
-            continue;
-        }
-        for (i, t) in toks.iter().enumerate() {
-            if t.kind == TokKind::Ident
-                && matches!(t.text.as_str(), "bounded" | "unbounded")
-                && channel_ctor_call(toks, i)
-            {
-                out.push(finding(
-                    RULE_LOCK_HYGIENE,
-                    file,
-                    item,
-                    t,
-                    "cross-shard-channel",
-                    "cross-shard channel constructed outside the newtop-rt shard workers; route shard fan-in/fan-out through the runtime's ingress pipeline",
-                ));
-            }
-        }
-    }
-}
-
-/// Matches `name(` or the turbofish form `name::<T>(` at `toks[i]`.
-fn channel_ctor_call(toks: &[Token], i: usize) -> bool {
-    if toks.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-        return true;
-    }
-    toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-        && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-        && toks.get(i + 3).is_some_and(|t| t.is_punct('<'))
 }
 
 // ---------------------------------------------------------------- rule 5
@@ -1123,7 +1060,7 @@ mod tests {
     }
 
     #[test]
-    fn panic_free_covers_shard_worker_handlers() {
+    fn panic_free_covers_worker_handlers() {
         // `Nso::on_packet` is a worker entry point; a panic reachable
         // from it through a gcs helper is flagged even though no decode
         // entry point reaches it.
@@ -1382,45 +1319,6 @@ mod tests {
             "fn event_loop(ingress: &Receiver<Ingress>) { while let Ok(ev) = ingress.recv() { } }",
         );
         assert!(f.iter().all(|x| x.rule != RULE_BLOCKING), "{f:?}");
-    }
-
-    #[test]
-    fn cross_shard_channels_flagged_outside_rt() {
-        let f = check(
-            "crates/bench/src/bin/loadgen.rs",
-            "fn fan_out(n: usize) { let shards = n; let (tx, rx) = bounded::<Packet>(64); }",
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, RULE_LOCK_HYGIENE);
-        assert!(f[0].message.contains("cross-shard"));
-    }
-
-    #[test]
-    fn cross_shard_channels_flagged_in_rt_without_worker_spawn() {
-        // Even inside newtop-rt, owning a cross-shard channel is reserved
-        // for the functions that spawn the shard worker threads.
-        let f = check(
-            "crates/rt/src/lib.rs",
-            "fn stash(&mut self) { let shard = self.next_shard; let (tx, rx) = bounded(8); self.queues.push(tx); }",
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("cross-shard"));
-    }
-
-    #[test]
-    fn cross_shard_channels_allowed_for_rt_shard_workers() {
-        assert!(check(
-            "crates/rt/src/lib.rs",
-            "fn spawn_ingress(n: usize) { let shards = n; for k in 0..shards { let (tx, rx) = bounded::<Packet>(64); } std::thread::Builder::new().spawn(move || {}); }",
-        )
-        .is_empty());
-        // Channels with no shard involvement stay governed by the
-        // boundedness rule alone.
-        assert!(check(
-            "crates/net/src/channel.rs",
-            "fn mk(&self) { let (tx, rx) = bounded(self.inbox_capacity); }",
-        )
-        .is_empty());
     }
 
     #[test]

@@ -222,23 +222,6 @@ const CASES: &[Case] = &[
              fn forward(frame: Frame) { TX.try_send(frame); }",
         )],
     },
-    // rule 4 extension — cross-shard channel ownership
-    Case {
-        name: "lock-hygiene/cross-shard-channel-outside-rt",
-        expect: Some(rules::RULE_LOCK_HYGIENE),
-        files: &[(
-            "crates/workloads/src/selftest.rs",
-            "fn fan_in(n: usize) { let shards = n; let (tx, rx) = bounded::<Frame>(64); }",
-        )],
-    },
-    Case {
-        name: "lock-hygiene/good-rt-shard-worker-channel",
-        expect: None,
-        files: &[(
-            "crates/rt/src/selftest.rs",
-            "fn spawn_ingress(n: usize) { let shards = n; let (tx, rx) = bounded::<Frame>(64); std::thread::Builder::new().spawn(move || {}); }",
-        )],
-    },
     // rule 5 — durability (append acknowledged without reachable sync)
     Case {
         name: "durability/append-without-sync",

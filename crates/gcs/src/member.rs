@@ -608,12 +608,6 @@ impl GcsMember {
         self.node
     }
 
-    /// The node's current Lamport clock value (shared by all its groups).
-    #[must_use]
-    pub fn clock_value(&self) -> u64 {
-        self.clock.value()
-    }
-
     /// Advances the clock past an externally observed timestamp. A
     /// recovering node calls this with the highest Lamport stamp in its
     /// replayed history (and in each state-transfer chunk), so that

@@ -18,13 +18,9 @@ use newtop_net::sim::SimConfig;
 use newtop_net::site::{NodeId, Site};
 use newtop_net::time::SimTime;
 
-/// Sums one counter over every shard of `node`.
+/// One counter of `node`'s member.
 fn counter(h: &GcsHarness, node: NodeId, name: &str) -> u64 {
-    h.node(node)
-        .gcs()
-        .observabilities()
-        .map(|obs| obs.metrics.counter(name))
-        .sum()
+    h.node(node).gcs().observability().metrics.counter(name)
 }
 
 /// Seed 1, plan: an event-driven asymmetric group of four whose

@@ -3,6 +3,7 @@
 
 use bytes::Bytes;
 use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId, Liveness, OrderProtocol};
+use newtop_gcs::member::GcsOutput;
 use newtop_gcs::testkit::GcsHarness;
 use newtop_net::sim::SimConfig;
 use newtop_net::site::{NodeId, Site};
@@ -360,6 +361,108 @@ fn overlapping_groups_share_one_member() {
     assert_eq!(h.delivered(nodes[2], &gb).len(), 5);
     assert_eq!(h.delivered(nodes[0], &ga), h.delivered(nodes[1], &ga));
     assert_eq!(h.delivered(nodes[1], &gb), h.delivered(nodes[2], &gb));
+}
+
+/// The paper's overlapping-groups guarantee for groups that come to
+/// overlap after start-up. n2 is in `ga` = {n0, n1, n2} and later joins
+/// `gb` = {n1, n3} through n3, so `gb` overlaps `ga` beyond the contact
+/// (at n1). `ga` is busy and `gb` nearly silent, so a clock private to
+/// `gb` would lag far behind `ga`'s. A `gb` multicast n2 sends after
+/// delivering `ga` traffic is stamped above that traffic by the node's
+/// one Lamport clock, and n1 and n2 (the members of both groups) deliver
+/// it after that traffic.
+#[test]
+fn joined_overlapping_group_keeps_cross_group_causality() {
+    const A_SENDS: u64 = 60;
+    for ordering in [OrderProtocol::Symmetric, OrderProtocol::Asymmetric] {
+        let ga = GroupId::new("ga");
+        let gb = GroupId::new("gb");
+        let mut h = GcsHarness::new(SimConfig::lan(29));
+        let n = h.add_nodes(Site::Lan, 4);
+        let busy = GroupConfig::peer()
+            .with_ordering(ordering)
+            .with_time_silence(Duration::from_millis(20));
+        let quiet = busy.clone().with_time_silence(Duration::from_millis(200));
+        h.create_group(SimTime::from_millis(1), &ga, &busy, &n[..3]);
+        h.create_group(SimTime::from_millis(1), &gb, &quiet, &[n[1], n[3]]);
+        h.join(SimTime::from_millis(50), n[2], &gb, &quiet, n[3]);
+        // `ga` traffic drives the clock up while the join settles...
+        for i in 0..A_SENDS {
+            h.multicast(
+                SimTime::from_millis(200 + i * 2),
+                n[i as usize % 2],
+                &ga,
+                DeliveryOrder::Total,
+                payload("a", i as usize),
+            );
+        }
+        // ...and n2 multicasts in `gb` well after delivering all of it.
+        let b_sent_at = SimTime::from_millis(800);
+        for i in 0..3 {
+            h.multicast(
+                b_sent_at + Duration::from_millis(i * 5),
+                n[2],
+                &gb,
+                DeliveryOrder::Total,
+                payload("b", i as usize),
+            );
+        }
+        h.run_until(SimTime::from_secs(5));
+
+        let joined = h.views(n[2], &gb).last().cloned().expect("n2 joined gb");
+        assert!(
+            joined.contains(n[1]) && joined.contains(n[2]),
+            "{ordering:?}: gb view {joined}"
+        );
+        // Precondition: n2 delivered every `ga` message before it sent.
+        let delivered_a_at: Vec<SimTime> = h
+            .node(n[2])
+            .outputs
+            .iter()
+            .filter_map(|(at, o)| match o {
+                GcsOutput::Delivered { group, .. } if *group == ga => Some(*at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered_a_at.len(), A_SENDS as usize, "{ordering:?}");
+        assert!(
+            delivered_a_at.iter().all(|at| *at < b_sent_at),
+            "{ordering:?}: n2 sent in gb before delivering all of ga"
+        );
+
+        for &m in &[n[1], n[2]] {
+            // (group, Lamport stamp) of every delivery, in delivery order.
+            let seq: Vec<(GroupId, u64)> = h
+                .node(m)
+                .outputs
+                .iter()
+                .filter_map(|(_, o)| match o {
+                    GcsOutput::Delivered { group, lamport, .. } => Some((group.clone(), *lamport)),
+                    _ => None,
+                })
+                .collect();
+            let last_a = seq.iter().rposition(|(g, _)| *g == ga);
+            let first_b = seq.iter().position(|(g, _)| *g == gb);
+            let (Some(last_a), Some(first_b)) = (last_a, first_b) else {
+                panic!("{ordering:?}: {m} missed a group's traffic: {seq:?}");
+            };
+            assert_eq!(
+                seq.len(),
+                A_SENDS as usize + 3,
+                "{ordering:?}: {m} delivered {seq:?}"
+            );
+            assert!(
+                last_a < first_b,
+                "{ordering:?}: {m} delivered n2's gb multicast before the ga traffic it followed"
+            );
+            let max_a = seq.iter().filter(|(g, _)| *g == ga).map(|(_, l)| *l).max();
+            let min_b = seq.iter().filter(|(g, _)| *g == gb).map(|(_, l)| *l).min();
+            assert!(
+                min_b > max_a,
+                "{ordering:?}: {m}: gb stamp {min_b:?} not above ga stamp {max_a:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -316,7 +316,7 @@ impl TraceLog {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         // The ring is allocated on the first record: a log that is never
-        // written (a shard member whose host keeps the node's one ring)
+        // written (a GCS member whose host keeps the node's one ring)
         // costs nothing.
         TraceLog {
             records: VecDeque::new(),

@@ -13,10 +13,9 @@
 //! the next timer is due (`recv_timeout`), so an idle node sleeps
 //! instead of polling. Application commands and the stop signal travel
 //! on a second bounded queue; the sender rings the ingress queue's
-//! [`Waker`] after each, so a command wakes the loop at once too. With
-//! more than one shard configured ([`RuntimeOptions::with_shards`]) the
-//! loop applies messages to per-shard protocol engines; the engines run
-//! serially on the loop thread. Applications drive the node
+//! [`Waker`] after each, so a command wakes the loop at once too. The
+//! loop applies every message to the node's one protocol engine, on the
+//! loop thread. Applications drive the node
 //! through a [`NodeHandle`]: [`NodeHandle::with_nso`] runs a closure
 //! against the NSO inside the loop (so no locking is ever needed), and
 //! [`NodeHandle::outputs`] / [`NodeHandle::wait_for_output`] receive the
@@ -57,23 +56,20 @@ use newtop_net::site::NodeId;
 use newtop_net::time::SimTime;
 use newtop_net::transport::WireTransport;
 
-/// Construction options for [`NodeRuntime::spawn`]: shard count, flow
-/// bounds, and send-path batching.
+/// Construction options for [`NodeRuntime::spawn`]: flow bounds and
+/// send-path batching.
 ///
-/// The defaults are the production posture — `min(4, cores)` shards,
-/// batching on, default [`FlowConfig`] queue bounds.
+/// The defaults are the production posture — batching on, default
+/// [`FlowConfig`] queue bounds.
 #[derive(Clone, Debug)]
 pub struct RuntimeOptions {
-    shards: usize,
     batching: bool,
     flow: FlowConfig,
 }
 
 impl Default for RuntimeOptions {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         RuntimeOptions {
-            shards: cores.min(4),
             batching: true,
             flow: FlowConfig::default(),
         }
@@ -85,16 +81,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn new() -> Self {
         RuntimeOptions::default()
-    }
-
-    /// Sets the number of protocol shards (clamped to at least 1).
-    /// Groups hash to a shard; each shard owns its engines, clock
-    /// domain and flow ledgers. All shards run on the node's event loop
-    /// thread.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Enables or disables send-path batching (packing small protocol
@@ -113,10 +99,12 @@ impl RuntimeOptions {
         self
     }
 
-    /// The configured shard count.
+    /// Protocol shards per node: always 1. Each node runs one protocol
+    /// engine, whose one Lamport clock orders all its groups; the getter
+    /// stays for callers that report it.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.shards
+        1
     }
 
     /// Whether send-path batching is enabled.
@@ -383,12 +371,7 @@ fn event_loop(
     send_errors: &AtomicU64,
 ) {
     let start = Instant::now();
-    let mut nso = Nso::with_options(
-        node,
-        NsoOptions::new()
-            .with_shards(opts.shards)
-            .with_batching(opts.batching),
-    );
+    let mut nso = Nso::with_options(node, NsoOptions::new().with_batching(opts.batching));
     let mut timers: BinaryHeap<Reverse<TimerEntry>> = BinaryHeap::new();
     let mut cancelled: HashSet<TimerId> = HashSet::new();
     let mut next_outbox_timer: u64 = 0;

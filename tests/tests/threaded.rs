@@ -151,10 +151,6 @@ fn request_reply_over_real_tcp_sockets() {
 
 /// Spawns `n` nodes over loopback TCP, every node knowing every other.
 fn spawn_tcp_cluster(n: u32) -> (Vec<NodeHandle>, Vec<TcpEndpoint>) {
-    spawn_tcp_cluster_with(n, &RuntimeOptions::new())
-}
-
-fn spawn_tcp_cluster_with(n: u32, opts: &RuntimeOptions) -> (Vec<NodeHandle>, Vec<TcpEndpoint>) {
     let ids: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
     let mut endpoints = Vec::new();
     let mut rxs = Vec::new();
@@ -174,7 +170,7 @@ fn spawn_tcp_cluster_with(n: u32, opts: &RuntimeOptions) -> (Vec<NodeHandle>, Ve
     let nodes = endpoints
         .iter()
         .zip(rxs)
-        .map(|(ep, rx)| NodeRuntime::spawn(ep.handle(), rx, opts.clone()))
+        .map(|(ep, rx)| NodeRuntime::spawn(ep.handle(), rx, RuntimeOptions::new()))
         .collect();
     (nodes, endpoints)
 }
@@ -303,14 +299,13 @@ fn engine_memory_stays_flat_over_a_ten_times_longer_run() {
     }
 }
 
-/// Four protocol shards per node over TCP: one sender's causal
-/// multicasts, spread round-robin over four peer groups (so over several
-/// shards), reach every member in the order they were sent, and closed
+/// Default runtime nodes over TCP: one sender's causal multicasts,
+/// spread round-robin over four peer groups on each node's one protocol
+/// engine, reach every member in the order they were sent, and closed
 /// calls to a replicated service complete.
 #[test]
-fn sharded_nodes_over_tcp_keep_per_source_fifo_and_complete_calls() {
-    let opts = RuntimeOptions::new().with_shards(4);
-    let (nodes, endpoints) = spawn_tcp_cluster_with(4, &opts);
+fn multi_group_nodes_over_tcp_keep_per_source_fifo_and_complete_calls() {
+    let (nodes, endpoints) = spawn_tcp_cluster(4);
     let members: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
     let groups: Vec<GroupId> = (0..4).map(|i| GroupId::new(format!("fifo-{i}"))).collect();
     for handle in &nodes[..3] {
@@ -373,7 +368,7 @@ fn sharded_nodes_over_tcp_keep_per_source_fifo_and_complete_calls() {
     }
 
     let servers = members;
-    let group = GroupId::new("sharded-svc");
+    let group = GroupId::new("fifo-svc");
     setup_service(&nodes, &servers, &group);
     for _ in 0..3 {
         assert_eq!(
