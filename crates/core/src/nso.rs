@@ -303,8 +303,8 @@ pub struct BindOptions {
     pub time_silence: Duration,
     /// Fan-out mode of the client/server group. [`FanoutMode::Synchronous`]
     /// chains per-member round trips (§2.2); [`FanoutMode::Asynchronous`]
-    /// issues sends back-to-back, which also lets a batching-enabled node
-    /// pack them into one frame per destination.
+    /// issues sends back-to-back. A batching node stages either kind and
+    /// packs it with the turn's other sends, one frame per destination.
     pub fanout: FanoutMode,
     /// How long to wait for the servers' acknowledgements.
     pub timeout: Duration,
@@ -408,9 +408,9 @@ impl BindOptions {
         self
     }
 
-    /// Sets the fan-out mode of the client/server group. Asynchronous
-    /// fan-outs are a prerequisite for send-path batching: only
-    /// back-to-back sends can share a frame.
+    /// Sets the fan-out mode of the client/server group. It shapes
+    /// timing on the simulator only when batching is off; a batching node
+    /// stages every fan-out.
     #[must_use]
     pub fn with_fanout(mut self, fanout: FanoutMode) -> Self {
         self.fanout = fanout;
@@ -661,24 +661,15 @@ struct ResolveProgress {
     waiters: Vec<PendingResolve>,
 }
 
-/// Reserved tag of the send-path batch-flush micro-timer (the first tag
-/// of the NSO's range; [`Nso::alloc_tag`] starts above it).
-const BATCH_FLUSH_TAG: u64 = tags::NSO_BASE;
-
-/// How long staged sends may wait for company. Messages staged within
-/// one window share a frame per destination, so this bounds both the
-/// added latency and the coalescing opportunity. Matches the order-record
-/// aggregation cadence of the GCS sequencer.
-const BATCH_FLUSH_DELAY: Duration = Duration::from_micros(300);
-
 /// The most handler-issued multicasts held for send credit at once (see
 /// `Nso::held`); beyond it a multicast is dropped and counted.
 const MAX_HELD_MULTICASTS: usize = 256;
 
 /// Construction options for an [`Nso`]: whether the send path batches
-/// small protocol messages into one GIOP frame per destination per
-/// event. Off by default. Every node runs one [`GcsMember`] for all its
-/// groups, so one Lamport clock orders them all.
+/// small protocol messages into one GIOP frame per destination per host
+/// turn (see [`Nso::flush_sends`]). Off by default. Every node runs one
+/// [`GcsMember`] for all its groups, so one Lamport clock orders them
+/// all.
 #[derive(Clone, Debug, Default)]
 pub struct NsoOptions {
     batching: bool,
@@ -689,6 +680,13 @@ impl NsoOptions {
     #[must_use]
     pub fn new() -> Self {
         NsoOptions::default()
+    }
+
+    /// Batching on: the options of a host that flushes by turn, such as
+    /// the threaded runtime, which always batches.
+    #[must_use]
+    pub fn batched() -> Self {
+        NsoOptions { batching: true }
     }
 
     /// Enables per-destination batching of small protocol messages.
@@ -737,9 +735,9 @@ pub struct Nso {
     /// GCS events are recorded into too (the GCS members keep their own
     /// metrics; [`Nso::metrics`] merges them).
     obs: Observability,
-    /// Staged batchable sends, persisted across handler events so the
-    /// flush window spans them (see [`SendBuffer`]). Flushed by the
-    /// [`BATCH_FLUSH_TAG`] micro-timer.
+    /// Staged sends, persisted across handler events so one flush spans
+    /// them (see [`SendBuffer`]). The host empties it with
+    /// [`Nso::flush_sends`] once per turn.
     send_buf: SendBuffer,
     /// Per-binding default reply mode (from [`BindOptions`]).
     default_modes: BTreeMap<GroupId, ReplyMode>,
@@ -765,12 +763,11 @@ impl fmt::Debug for Nso {
 
 /// Runs `f` with a fresh [`GcsNet`] staging into the node's persistent
 /// [`SendBuffer`], then folds the context's counters into the metric
-/// registry. Staged sends are NOT flushed here: they wait (at most
-/// [`BATCH_FLUSH_DELAY`]) for the batch-flush micro-timer, so messages
-/// from several handler events can share a frame per destination. The
-/// epilogue arms that timer whenever the buffer is non-empty and no
-/// timer is already in flight. Takes field-precise borrows (rather than
-/// `&mut Nso`) so the closure can still use `self.gcs`.
+/// registry. Staged sends are NOT flushed here: they wait for the host's
+/// [`Nso::flush_sends`] at the end of its turn, so messages from several
+/// handler events can share a frame per destination. Takes
+/// field-precise borrows (rather than `&mut Nso`) so the closure can
+/// still use `self.gcs`.
 fn with_net<R>(
     orb: &mut OrbCore,
     obs: &mut Observability,
@@ -794,11 +791,6 @@ fn with_net<R>(
     if frames > 0 {
         obs.metrics.add("gcs.batch_frames", frames);
         obs.metrics.add("gcs.batch_msgs", net.batch_msgs());
-    }
-    drop(net);
-    if buf.has_staged() && !buf.scheduled {
-        buf.scheduled = true;
-        out.set_timer(BATCH_FLUSH_DELAY, BATCH_FLUSH_TAG);
     }
     r
 }
@@ -833,9 +825,7 @@ impl Nso {
             binds: BTreeMap::new(),
             was_primary: BTreeMap::new(),
             nso_timers: BTreeMap::new(),
-            // Tag 0 (NSO_BASE itself) is reserved for the batch-flush
-            // micro-timer; allocated tags start at 1.
-            next_tag: 1,
+            next_tag: 0,
             next_binding: 1,
             send_buf: SendBuffer::new(),
             outputs: Vec::new(),
@@ -926,7 +916,7 @@ impl Nso {
     /// application layer).
     #[must_use]
     pub fn owns_tag(&self, tag: u64) -> bool {
-        tag == BATCH_FLUSH_TAG || self.gcs.owns_tag(tag) || self.nso_timers.contains_key(&tag)
+        self.gcs.owns_tag(tag) || self.nso_timers.contains_key(&tag)
     }
 
     // --- server-side setup ------------------------------------------------
@@ -1791,25 +1781,33 @@ impl Nso {
         }
     }
 
-    /// Feeds a fired timer whose tag this NSO owns.
-    pub fn on_timer(&mut self, tag: u64, now: SimTime, out: &mut Outbox) {
-        if tag == BATCH_FLUSH_TAG {
-            // The coalescing window closed: everything staged since the
-            // timer was armed leaves now, packed per destination. The
-            // epilogue of `with_net` re-arms if the flush itself staged
-            // anything new (it does not, but handlers racing in the
-            // threaded runtime may have).
-            self.send_buf.scheduled = false;
-            with_net(
-                &mut self.orb,
-                &mut self.obs,
-                out,
-                self.batching,
-                &mut self.send_buf,
-                |net| net.flush(),
-            );
+    /// Sends everything the handlers staged since the last flush, packed
+    /// per destination. A batching node's host calls this at the end of
+    /// each turn: the simulator after every event, the threaded runtime
+    /// before it blocks and after a bounded number of inputs. With
+    /// batching off nothing is ever staged and this does nothing.
+    pub fn flush_sends(&mut self, out: &mut Outbox) {
+        if !self.send_buf.has_staged() {
             return;
         }
+        with_net(
+            &mut self.orb,
+            &mut self.obs,
+            out,
+            self.batching,
+            &mut self.send_buf,
+            |net| net.flush(),
+        );
+    }
+
+    /// Whether staged sends are waiting for [`Self::flush_sends`].
+    #[must_use]
+    pub fn has_staged_sends(&self) -> bool {
+        self.send_buf.has_staged()
+    }
+
+    /// Feeds a fired timer whose tag this NSO owns.
+    pub fn on_timer(&mut self, tag: u64, now: SimTime, out: &mut Outbox) {
         if self.gcs.owns_tag(tag) {
             let outs = with_net(
                 &mut self.orb,

@@ -6,6 +6,10 @@
 //! back into the NSO (reactions cascade until no outputs remain).
 //! Timer tags at or above [`crate::tags::APP_BASE`] belong to the
 //! application.
+//!
+//! The simulator hands a node one event at a time, so each event is one
+//! turn: what a batching node staged on its send path during the event
+//! leaves when the event's handling ends ([`Nso::flush_sends`]).
 
 use std::any::Any;
 
@@ -103,6 +107,7 @@ impl SimNode for NsoNode {
             }
         }
         self.drain(now, out);
+        self.nso.flush_sends(out);
     }
 }
 
@@ -175,41 +180,83 @@ mod tests {
         }
     }
 
-    fn run(open: bool, mode: ReplyMode) -> Vec<(NodeId, Bytes)> {
-        let mut sim = Sim::new(SimConfig::default());
-        let servers: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
-        for &s in &servers {
-            sim.add_node(
-                Site::Lan,
-                Box::new(NsoNode::new(
-                    s,
-                    Box::new(Server {
-                        members: servers.clone(),
-                    }),
-                )),
+    /// A batching node that checks, after every event, that the event
+    /// left nothing staged on its send path.
+    struct FlushChecked {
+        inner: NsoNode,
+        events: u64,
+    }
+
+    impl SimNode for FlushChecked {
+        fn on_event(&mut self, now: SimTime, ev: NodeEvent, out: &mut Outbox) {
+            self.inner.on_event(now, ev, out);
+            self.events += 1;
+            assert!(
+                !self.inner.nso().has_staged_sends(),
+                "{} left sends staged after event {} at {now}",
+                self.inner.nso().node(),
+                self.events
             );
         }
+    }
+
+    fn run_with(
+        open: bool,
+        mode: ReplyMode,
+        batching: bool,
+    ) -> (Sim, NodeId, Vec<(NodeId, Bytes)>) {
+        let mut sim = Sim::new(SimConfig::default());
+        let servers: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+        let opts = NsoOptions::new().with_batching(batching);
+        let node = |id: NodeId, app: Box<dyn NsoApp>| -> Box<dyn SimNode> {
+            let inner = NsoNode::with_options(id, opts.clone(), app);
+            if batching {
+                Box::new(FlushChecked { inner, events: 0 })
+            } else {
+                Box::new(inner)
+            }
+        };
+        for &s in &servers {
+            let members = servers.clone();
+            sim.add_node(Site::Lan, node(s, Box::new(Server { members })));
+        }
         let c = NodeId::from_index(3);
-        sim.add_node(
-            Site::Lan,
-            Box::new(NsoNode::new(
-                c,
-                Box::new(Client {
-                    servers: servers.clone(),
-                    open,
-                    mode,
-                    replies: None,
-                }),
-            )),
-        );
+        let client = Client {
+            servers: servers.clone(),
+            open,
+            mode,
+            replies: None,
+        };
+        sim.add_node(Site::Lan, node(c, Box::new(client)));
         sim.run_until(SimTime::from_secs(10));
-        sim.node_ref::<NsoNode>(c)
-            .unwrap()
+        let host = if batching {
+            &sim.node_ref::<FlushChecked>(c).unwrap().inner
+        } else {
+            sim.node_ref::<NsoNode>(c).unwrap()
+        };
+        let replies = host
             .app_ref::<Client>()
             .unwrap()
             .replies
             .clone()
-            .expect("invocation completed")
+            .expect("invocation completed");
+        (sim, c, replies)
+    }
+
+    fn run(open: bool, mode: ReplyMode) -> Vec<(NodeId, Bytes)> {
+        run_with(open, mode, false).2
+    }
+
+    #[test]
+    fn batching_node_stages_nothing_across_events() {
+        for open in [true, false] {
+            let (sim, c, replies) = run_with(open, ReplyMode::All, true);
+            assert_eq!(replies.len(), 3, "open={open}");
+            let client = &sim.node_ref::<FlushChecked>(c).unwrap().inner;
+            // Not vacuous: the client's sends went through the staging
+            // path (every one of them is counted there).
+            assert!(client.nso().metrics().counter("gcs.msgs_sent") > 0);
+        }
     }
 
     #[test]

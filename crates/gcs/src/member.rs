@@ -43,7 +43,7 @@ use newtop_flow::FlowController;
 use crate::clock::{DepsVector, LamportClock};
 use crate::engine::{DeliveryEngine, EngineConfig, Ingest};
 use crate::group::{DeliveryOrder, GroupConfig, GroupId, Liveness, OrderProtocol};
-use crate::messages::{ContigVector, DataMsg, GcsMessage, NullMsg};
+use crate::messages::{encode_batch, ContigVector, DataMsg, GcsMessage, NullMsg, MAX_BATCH_LEN};
 use crate::view::{View, ViewId};
 use crate::{GCS_OPERATION, NSO_OBJECT_KEY};
 
@@ -136,20 +136,17 @@ pub enum GcsOutput {
 }
 
 /// Staged sends awaiting a batch flush. The buffer is owned by the stack
-/// host (the NSO), not by the per-call [`GcsNet`], so one flush window
-/// can span several handler events: every message staged between two
-/// flushes shares a frame per destination, Nagle-style. The host arms a
-/// micro flush timer whenever the buffer is non-empty.
+/// host (the NSO), not by the per-call [`GcsNet`], so one flush can span
+/// several handler events: every message staged between two flushes
+/// shares a frame per destination, Nagle-style. The host flushes once
+/// per event-loop turn.
 #[derive(Debug, Default)]
 pub struct SendBuffer {
-    /// Staged messages, in send order.
-    staged: Vec<GcsMessage>,
-    /// Per destination: indices into `staged` awaiting the flush.
+    /// The staged messages' bodies, in send order. Each message is
+    /// encoded once when staged, whatever its number of destinations.
+    bodies: Vec<Bytes>,
+    /// Per destination: indices into `bodies` awaiting the flush.
     staged_for: BTreeMap<NodeId, Vec<u32>>,
-    /// A flush timer is outstanding. The host sets this when it arms the
-    /// timer and clears it when the timer fires, keeping exactly one
-    /// timer in flight while anything is staged.
-    pub scheduled: bool,
 }
 
 impl SendBuffer {
@@ -193,9 +190,8 @@ pub struct GcsNet<'a> {
     sent: u64,
     encode_calls: u64,
     bytes_encoded: u64,
-    /// Send-path batching: when set, point-to-point sends and
-    /// asynchronous fan-outs are staged and packed per destination into
-    /// [`GcsMessage::Batch`] frames by [`Self::flush`].
+    /// Send-path batching: when set, every send is staged and packed per
+    /// destination into [`GcsMessage::Batch`] frames by [`Self::flush`].
     batching: bool,
     staging: Staging<'a>,
     batch_frames: u64,
@@ -232,8 +228,8 @@ impl<'a> GcsNet<'a> {
     }
 
     /// Creates a context staging into the host's persistent `buf`, so
-    /// messages from several handler events coalesce until the host's
-    /// flush timer fires. The host is responsible for eventually calling
+    /// messages from several handler events coalesce until the host
+    /// flushes. The host is responsible for eventually calling
     /// [`Self::flush`] on a context over the same buffer. Protocol events
     /// go to the host's `trace` ring (their `ev.*` counters stay with the
     /// member).
@@ -293,11 +289,11 @@ impl<'a> GcsNet<'a> {
     }
 
     fn send(&mut self, to: NodeId, msg: &GcsMessage) {
-        self.sent += 1;
         if self.batching {
-            self.stage(to, msg);
+            self.stage([to], msg);
             return;
         }
+        self.sent += 1;
         let body = self.encode_body(msg);
         self.orb.oneway(
             &ObjectRef::new(to, NSO_OBJECT_KEY),
@@ -307,34 +303,49 @@ impl<'a> GcsNet<'a> {
         );
     }
 
-    /// Stages `msg` for `to`, sharing one staged copy when the same
-    /// message fans out to several destinations in this flush window.
-    fn stage(&mut self, to: NodeId, msg: &GcsMessage) {
+    /// Sends `msg` to each of `targets` as independent point-to-point
+    /// invocations (no synchronous fan-out chain). A batching context
+    /// encodes it once for all of them.
+    fn send_each<I: IntoIterator<Item = NodeId>>(&mut self, targets: I, msg: &GcsMessage) {
+        if self.batching {
+            self.stage(targets, msg);
+            return;
+        }
+        for to in targets {
+            self.send(to, msg);
+        }
+    }
+
+    /// Encodes `msg` once and stages its body for every destination in
+    /// `targets`.
+    fn stage<I: IntoIterator<Item = NodeId>>(&mut self, targets: I, msg: &GcsMessage) {
+        let body = self.encode_body(msg);
         let buf = self.staging.get();
-        let idx = match buf.staged.last() {
-            Some(last) if last == msg => buf.staged.len() - 1,
-            _ => {
-                buf.staged.push(msg.clone());
-                buf.staged.len() - 1
-            }
-        };
         #[allow(clippy::cast_possible_truncation)]
-        buf.staged_for.entry(to).or_default().push(idx as u32);
+        let idx = buf.bodies.len() as u32;
+        buf.bodies.push(body);
+        let mut staged = 0;
+        for to in targets {
+            buf.staged_for.entry(to).or_default().push(idx);
+            staged += 1;
+        }
+        self.sent += staged;
     }
 
     /// Flushes staged sends: destinations whose staged message lists are
-    /// identical share one frame (encoded once, refcount-cloned per
+    /// identical share one frame (built once, refcount-cloned per
     /// recipient, like the fan-out path); a destination with a single
     /// staged message gets the plain frame, byte-identical to an
-    /// unbatched send; multiple messages are wrapped in one
-    /// [`GcsMessage::Batch`] envelope.
+    /// unbatched send; multiple messages are wrapped in
+    /// [`GcsMessage::Batch`] envelopes of at most [`MAX_BATCH_LEN`]
+    /// constituents, assembled from the bodies encoded at staging time.
     pub fn flush(&mut self) {
         let buf = self.staging.get();
         if buf.staged_for.is_empty() {
-            buf.staged.clear();
+            buf.bodies.clear();
             return;
         }
-        let staged = std::mem::take(&mut buf.staged);
+        let bodies = std::mem::take(&mut buf.bodies);
         let staged_for = std::mem::take(&mut buf.staged_for);
         // Deterministic: BTreeMap iteration groups destinations by list
         // in list order; ties inside a group keep NodeId order.
@@ -343,27 +354,34 @@ impl<'a> GcsNet<'a> {
             by_list.entry(list).or_default().push(to);
         }
         for (list, dests) in by_list {
-            let frame = if let [only] = list.as_slice() {
-                match staged.get(*only as usize) {
-                    Some(m) => self.encode_body(m),
-                    None => continue,
-                }
-            } else {
-                let msgs: Vec<GcsMessage> = list
+            for chunk in list.chunks(MAX_BATCH_LEN) {
+                let parts: Vec<&[u8]> = chunk
                     .iter()
-                    .filter_map(|&i| staged.get(i as usize).cloned())
+                    .filter_map(|&i| bodies.get(i as usize))
+                    .map(Bytes::as_ref)
                     .collect();
-                self.batch_msgs += msgs.len() as u64;
-                self.batch_frames += 1;
-                self.encode_body(&GcsMessage::Batch(msgs))
-            };
-            self.orb.oneway_fanout(
-                dests,
-                &ObjectKey::new(NSO_OBJECT_KEY),
-                GCS_OPERATION,
-                &frame,
-                self.out,
-            );
+                let batch;
+                let frame: &[u8] = match parts.as_slice() {
+                    [] => continue,
+                    [only] => only,
+                    _ => {
+                        self.batch_msgs += parts.len() as u64;
+                        self.batch_frames += 1;
+                        let enc = self.orb.scratch_encoder();
+                        enc.clear();
+                        encode_batch(enc, &parts);
+                        batch = enc.take_frame();
+                        &batch
+                    }
+                };
+                self.orb.oneway_fanout(
+                    dests.iter().copied(),
+                    &ObjectKey::new(NSO_OBJECT_KEY),
+                    GCS_OPERATION,
+                    frame,
+                    self.out,
+                );
+            }
         }
     }
 
@@ -401,14 +419,12 @@ impl<'a> GcsNet<'a> {
         targets: I,
         msg: &GcsMessage,
     ) {
-        // Synchronous fan-outs chain per-member round trips and must go
-        // out immediately to keep that timing; only asynchronous
-        // fan-outs are batchable.
-        if self.batching && mode == crate::group::FanoutMode::Asynchronous {
-            for t in targets {
-                self.sent += 1;
-                self.stage(t, msg);
-            }
+        // A batching node stages every fan-out, synchronous ones too. The
+        // members then get the message as independent sends when the
+        // turn ends; only the simulator models the synchronous chain, and
+        // real transports discard it anyway.
+        if self.batching {
+            self.stage(targets, msg);
             return;
         }
         if mode == crate::group::FanoutMode::Synchronous {
@@ -1980,9 +1996,7 @@ impl GcsMember {
                         old_view: state.view.id(),
                         coord_contig: state.engine.contig_vector(),
                     };
-                    for m in missing {
-                        net.send(m, &msg);
-                    }
+                    net.send_each(missing, &msg);
                     let timeout = state.config.view_change_timeout;
                     self.schedule(group, TimerKind::ViewChange, timeout, stamp, net);
                     return;
@@ -2207,6 +2221,12 @@ impl GcsMember {
             return;
         }
         state.liveness_running = true;
+        // While the suspector was stopped nobody was obliged to send, so
+        // the arrival times it kept say nothing about who is alive now:
+        // every member gets one full suspicion timeout from here.
+        for &m in state.view.members() {
+            state.last_heard.insert(m, now);
+        }
         let period = state.config.time_silence;
         self.schedule(group, TimerKind::Null, period, 0, net);
         self.schedule(group, TimerKind::Suspicion, period, 0, net);
@@ -2584,5 +2604,112 @@ mod tests {
                 "unbatched constituent re-encodes to different bytes"
             );
         }
+    }
+
+    /// The GCS messages one frame carries, batch envelopes unpacked.
+    fn frame_msgs(to: NodeId, payload: &Bytes) -> Vec<GcsMessage> {
+        let pkt = newtop_net::sim::Packet {
+            src: n(0),
+            dst: to,
+            payload: payload.clone(),
+        };
+        let mut peer = OrbCore::new(to);
+        let mut peer_out = Outbox::detached(0);
+        let Some(newtop_orb::orb::OrbIncoming::Upcall { body, .. }) =
+            peer.handle_packet(&pkt, &mut peer_out)
+        else {
+            panic!("frame did not arrive as a oneway upcall");
+        };
+        use newtop_orb::cdr::CdrDecode as _;
+        match GcsMessage::from_cdr(&body).unwrap() {
+            GcsMessage::Batch(msgs) => msgs,
+            msg => vec![msg],
+        }
+    }
+
+    #[test]
+    fn message_staged_for_several_lists_is_encoded_once() {
+        // One 1 KiB data message fans out to three destinations whose
+        // staged lists differ around it, so each gets its own batch
+        // frame. The shared message must be encoded once, and every
+        // frame must unpack to exactly its destination's list, in order.
+        let shared = GcsMessage::Data(Arc::new(DataMsg {
+            group: GroupId::new("g"),
+            view: ViewId(1),
+            sender: n(0),
+            seq: 7,
+            lamport: 7,
+            order: DeliveryOrder::Total,
+            deps: DepsVector::new(),
+            acks: vec![],
+            order_next: 1,
+            payload: Bytes::from(vec![0xab; 1024]),
+        }));
+        let (a, b, c) = (data_msg(1), data_msg(2), data_msg(3));
+
+        let (mut orb, mut out) = net_parts(n(0));
+        let mut net = GcsNet::with_batching(&mut orb, &mut out, true);
+        net.send(n(3), &c);
+        net.send_fanout(
+            crate::group::FanoutMode::Synchronous,
+            [n(1), n(2), n(3)],
+            &shared,
+        );
+        net.send(n(1), &a);
+        net.send(n(2), &b);
+        assert_eq!(
+            net.encode_calls(),
+            4,
+            "the shared message encoded more than once"
+        );
+        let encoded = net.bytes_encoded();
+        net.flush();
+        assert_eq!(
+            net.encode_calls(),
+            4,
+            "the flush re-encoded staged messages"
+        );
+        assert_eq!(net.bytes_encoded(), encoded);
+        assert_eq!(net.sent(), 6);
+        assert_eq!(net.batch_frames(), 3);
+        assert_eq!(net.batch_msgs(), 6);
+        drop(net);
+
+        let sends = out.into_parts().sends;
+        assert_eq!(sends.len(), 3);
+        let expect = [
+            (n(1), vec![shared.clone(), a]),
+            (n(2), vec![shared.clone(), b]),
+            (n(3), vec![c, shared]),
+        ];
+        for (to, list) in expect {
+            let frames: Vec<&Bytes> = sends
+                .iter()
+                .filter(|(d, _)| *d == to)
+                .map(|(_, p)| p)
+                .collect();
+            assert_eq!(frames.len(), 1, "{to} got {} frames", frames.len());
+            assert_eq!(frame_msgs(to, frames[0]), list, "frame for {to}");
+        }
+    }
+
+    #[test]
+    fn flush_splits_lists_longer_than_a_batch() {
+        let (mut orb, mut out) = net_parts(n(0));
+        let mut net = GcsNet::with_batching(&mut orb, &mut out, true);
+        let msgs: Vec<GcsMessage> = (1..=MAX_BATCH_LEN as u64 + 1).map(data_msg).collect();
+        for m in &msgs {
+            net.send(n(1), m);
+        }
+        net.flush();
+        assert_eq!(net.batch_frames(), 1, "the one left over goes plain");
+        drop(net);
+        let sends = out.into_parts().sends;
+        assert_eq!(sends.len(), 2);
+        let got: Vec<GcsMessage> = sends
+            .iter()
+            .flat_map(|(to, p)| frame_msgs(*to, p))
+            .collect();
+        assert_eq!(got, msgs);
     }
 }

@@ -215,7 +215,9 @@ pub enum GcsMessage {
     /// packed into a single GIOP frame per send-path flush. Constituents
     /// may target different groups (the batch is per destination, not per
     /// group); receivers unpack and route each constituent independently.
-    /// Nested and empty batches are wire errors.
+    /// On the wire each constituent is a length-prefixed octet sequence
+    /// holding its own encoding (see [`encode_batch`]). Nested and empty
+    /// batches are wire errors.
     Batch(Vec<GcsMessage>),
 }
 
@@ -364,10 +366,24 @@ const TAG_STATE_RESP: u8 = 9;
 const TAG_INSTALL: u8 = 10;
 const TAG_BATCH: u8 = 11;
 
-/// Most constituents a decoded batch may carry: a flush only packs the
-/// handful of rounds accumulated between two drive steps, so anything
-/// huge is hostile input, not a real batch.
+/// Most constituents one batch carries: a flush packs what one
+/// event-loop turn staged for a destination and splits a longer list
+/// into several frames, so a decoded batch above it is hostile input.
 pub const MAX_BATCH_LEN: usize = 1024;
+
+/// Writes a [`GcsMessage::Batch`] envelope around constituents that are
+/// already encoded, each on its own: the envelope holds one
+/// length-prefixed octet sequence per constituent. A message staged for
+/// several destinations is therefore encoded once, however many batch
+/// frames carry it. `bodies` must hold 1..=[`MAX_BATCH_LEN`] non-batch
+/// bodies, or receivers reject the frame.
+pub fn encode_batch(enc: &mut CdrEncoder, bodies: &[&[u8]]) {
+    enc.write_u8(TAG_BATCH);
+    enc.write_seq_len(bodies.len());
+    for body in bodies {
+        enc.write_bytes(body);
+    }
+}
 
 impl CdrEncode for GcsMessage {
     fn encode(&self, enc: &mut CdrEncoder) {
@@ -496,11 +512,9 @@ impl CdrEncode for GcsMessage {
                 msgs.encode(enc);
             }
             GcsMessage::Batch(msgs) => {
-                enc.write_u8(TAG_BATCH);
-                enc.write_seq_len(msgs.len());
-                for m in msgs {
-                    m.encode(enc);
-                }
+                let bodies: Vec<Bytes> = msgs.iter().map(CdrEncode::to_cdr).collect();
+                let slices: Vec<&[u8]> = bodies.iter().map(Bytes::as_ref).collect();
+                encode_batch(enc, &slices);
             }
         }
     }
@@ -580,7 +594,10 @@ impl CdrDecode for GcsMessage {
                 }
                 let mut msgs = Vec::with_capacity(len.min(64));
                 for _ in 0..len {
-                    let m = GcsMessage::decode(dec)?;
+                    // Each constituent was encoded on its own, so it
+                    // decodes from its own buffer (CDR alignment is
+                    // relative to the start of its body).
+                    let m = GcsMessage::from_cdr(dec.read_octets()?)?;
                     // Nesting would allow unbounded recursion on hostile
                     // input; one level is all the send path produces.
                     if matches!(m, GcsMessage::Batch(_)) {

@@ -515,6 +515,46 @@ fn event_driven_group_goes_quiet_after_traffic() {
     assert_same_total_order(&h, &members, 1);
 }
 
+/// An event-driven group that has been quiet for longer than its
+/// suspicion timeout keeps its view when a member next multicasts: the
+/// restarted failure suspector must not judge peers by arrival times
+/// from before the quiet spell.
+#[test]
+fn event_driven_group_survives_a_send_after_a_long_quiet_spell() {
+    let configs = [
+        ("request_reply", GroupConfig::request_reply()),
+        (
+            "peer_event_driven",
+            GroupConfig::peer().with_liveness(Liveness::EventDriven),
+        ),
+    ];
+    for (name, config) in configs {
+        let mut h = GcsHarness::new(SimConfig::lan(29));
+        let members = h.add_nodes(Site::Lan, 3);
+        let config = config.with_time_silence(Duration::from_millis(20));
+        h.create_group(SimTime::from_millis(1), &gid(), &config, &members);
+        h.multicast(
+            SimTime::from_millis(800),
+            members[0],
+            &gid(),
+            DeliveryOrder::Total,
+            payload("late", 0),
+        );
+        h.run_until(SimTime::from_secs(3));
+        for &m in &members {
+            for view in h.views(m, &gid()) {
+                assert_eq!(
+                    view.len(),
+                    3,
+                    "{name}: {m} installed {view:?} (repro: seed={})",
+                    h.seed()
+                );
+            }
+        }
+        assert_same_total_order(&h, &members, 1);
+    }
+}
+
 #[test]
 fn lively_group_keeps_heartbeating() {
     let mut h = GcsHarness::new(SimConfig::lan(26));

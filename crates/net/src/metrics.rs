@@ -1,10 +1,13 @@
 //! Per-node protocol metrics.
 //!
 //! A [`MetricRegistry`] holds named monotonic counters, point-in-time
-//! gauges, and latency histograms (reusing [`crate::stats::Histogram`]).
-//! It has no dependencies and no background machinery: protocol code
-//! bumps counters inline, and callers take a [`MetricsSnapshot`] when
-//! they want to read or print the numbers.
+//! gauges, and fixed-size log-bucket latency histograms
+//! ([`LatencyHistogram`]), so a long-running node's telemetry takes the
+//! same memory after a million samples as after one. It has no
+//! dependencies and no background machinery: protocol code bumps
+//! counters inline, and callers take a [`MetricsSnapshot`] when they
+//! want to read or print the numbers. Benchmarks that report exact
+//! quantiles keep their samples in [`crate::stats::Histogram`] instead.
 //!
 //! [`Observability`] bundles a registry with a bounded
 //! [`crate::trace::TraceLog`]; its [`record`](Observability::record)
@@ -16,7 +19,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
-use crate::stats::Histogram;
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceLog};
 
@@ -28,7 +30,150 @@ use crate::trace::{TraceEvent, TraceLog};
 pub struct MetricRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
-    latencies: BTreeMap<String, Histogram>,
+    latencies: BTreeMap<String, LatencyHistogram>,
+}
+
+/// Sub-buckets per power of two. A bucket spans at most 1/16 of its
+/// lower bound, so a reported quantile is within about 6 % of the exact
+/// sample.
+const SUB_BITS: u32 = 4;
+const SUB: u64 = 1 << SUB_BITS;
+/// The largest power of two with buckets of its own: samples from
+/// 2^41 ns (about 37 minutes) up share the top bucket.
+const MAX_EXP: u32 = 40;
+/// One linear group below `SUB`, then `SUB` buckets per power of two.
+const BUCKETS: usize = ((MAX_EXP - SUB_BITS + 2) as usize) << SUB_BITS;
+
+/// A latency histogram of fixed size: log-scale buckets, HDR style.
+///
+/// Memory is constant whatever the number of samples, recording is
+/// O(1), and two histograms merge by adding bucket counts. The count,
+/// mean and maximum are exact; quantiles are exact to one bucket (see
+/// [`Self::quantile`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LatencyHistogram {
+    buckets: Box<[u64]>,
+    count: u64,
+    sum_nanos: u128,
+    min_nanos: u64,
+    max_nanos: u64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram {
+            buckets: vec![0; BUCKETS].into_boxed_slice(),
+            count: 0,
+            sum_nanos: 0,
+            min_nanos: u64::MAX,
+            max_nanos: 0,
+        }
+    }
+}
+
+/// The bucket holding a sample of `nanos`.
+fn bucket_of(nanos: u64) -> usize {
+    if nanos < SUB {
+        return nanos as usize;
+    }
+    let exp = nanos.ilog2();
+    if exp > MAX_EXP {
+        return BUCKETS - 1;
+    }
+    let shift = exp - SUB_BITS;
+    let mantissa = (nanos >> shift) - SUB;
+    (((shift + 1) as usize) << SUB_BITS) + mantissa as usize
+}
+
+/// The smallest sample bucket `idx` holds, and the bucket's width.
+fn bucket_bounds(idx: usize) -> (u64, u64) {
+    let idx = idx as u64;
+    if idx < SUB {
+        return (idx, 1);
+    }
+    let shift = (idx >> SUB_BITS) - 1;
+    let mantissa = idx & (SUB - 1);
+    ((SUB + mantissa) << shift, 1 << shift)
+}
+
+impl LatencyHistogram {
+    /// An empty histogram.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, sample: Duration) {
+        let nanos = u64::try_from(sample.as_nanos()).unwrap_or(u64::MAX);
+        if let Some(b) = self.buckets.get_mut(bucket_of(nanos)) {
+            *b += 1;
+        }
+        self.count += 1;
+        self.sum_nanos += u128::from(nanos);
+        self.min_nanos = self.min_nanos.min(nanos);
+        self.max_nanos = self.max_nanos.max(nanos);
+    }
+
+    /// Samples recorded.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        usize::try_from(self.count).unwrap_or(usize::MAX)
+    }
+
+    /// True if no sample was recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Exact mean sample; zero when empty.
+    #[must_use]
+    pub fn mean(&self) -> Duration {
+        match self.sum_nanos.checked_div(u128::from(self.count)) {
+            Some(mean) => Duration::from_nanos(u64::try_from(mean).unwrap_or(u64::MAX)),
+            None => Duration::ZERO,
+        }
+    }
+
+    /// The `q`-quantile (clamped to 0.0..=1.0) by nearest rank, like
+    /// [`crate::stats::Histogram::quantile`], but reported as the middle
+    /// of the bucket that holds that sample (kept within the exact
+    /// minimum and maximum); zero when empty.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> Duration {
+        if self.count == 0 {
+            return Duration::ZERO;
+        }
+        let rank = ((self.count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
+        let mut seen = 0;
+        for (idx, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen > rank {
+                let (low, width) = bucket_bounds(idx);
+                let mid = low.saturating_add(width / 2);
+                return Duration::from_nanos(mid.clamp(self.min_nanos, self.max_nanos));
+            }
+        }
+        self.max()
+    }
+
+    /// Exact largest sample; zero when empty.
+    #[must_use]
+    pub fn max(&self) -> Duration {
+        Duration::from_nanos(self.max_nanos)
+    }
+
+    /// Adds `other`'s samples to this histogram.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum_nanos += other.sum_nanos;
+        self.min_nanos = self.min_nanos.min(other.min_nanos);
+        self.max_nanos = self.max_nanos.max(other.max_nanos);
+    }
 }
 
 impl MetricRegistry {
@@ -70,17 +215,21 @@ impl MetricRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Records one latency sample into the named histogram.
+    /// Records one latency sample into the named histogram. Only the
+    /// first sample of a name allocates (its key and buckets).
     pub fn record_latency(&mut self, name: &str, sample: Duration) {
-        self.latencies
-            .entry(name.to_string())
-            .or_default()
-            .record(sample);
+        if let Some(h) = self.latencies.get_mut(name) {
+            h.record(sample);
+        } else {
+            let mut h = LatencyHistogram::new();
+            h.record(sample);
+            self.latencies.insert(name.to_string(), h);
+        }
     }
 
     /// The named latency histogram, if any samples were recorded.
     #[must_use]
-    pub fn latency(&self, name: &str) -> Option<&Histogram> {
+    pub fn latency(&self, name: &str) -> Option<&LatencyHistogram> {
         self.latencies.get(name)
     }
 
@@ -90,7 +239,7 @@ impl MetricRegistry {
     }
 
     /// Folds another registry into this one: counters add, gauges take
-    /// the other's value, histograms concatenate samples.
+    /// the other's value, histograms add their bucket counts.
     pub fn merge(&mut self, other: &MetricRegistry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
@@ -113,7 +262,6 @@ impl MetricRegistry {
                 .latencies
                 .iter()
                 .map(|(name, h)| {
-                    let mut h = h.clone();
                     (
                         name.clone(),
                         LatencySummary {
@@ -131,7 +279,8 @@ impl MetricRegistry {
 }
 
 /// Five-number summary of one latency histogram in a snapshot. All
-/// durations are zero when the histogram held no samples.
+/// durations are zero when the histogram held no samples; `p50` and
+/// `p99` are exact to one bucket (see [`LatencyHistogram::quantile`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencySummary {
     /// Samples recorded.
@@ -285,6 +434,78 @@ mod tests {
         assert_eq!(a.counter("c"), 5);
         assert_eq!(a.counter("only_b"), 1);
         assert_eq!(a.latency("l").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn histogram_memory_stays_flat_over_a_million_samples() {
+        let mut m = MetricRegistry::new();
+        m.record_latency("l", Duration::from_micros(1));
+        let heap = |m: &MetricRegistry| std::mem::size_of_val(&*m.latency("l").unwrap().buckets);
+        let one = heap(&m);
+        for i in 0..1_000_000u64 {
+            m.record_latency("l", Duration::from_nanos(i * 7919 % 50_000_000));
+        }
+        let h = m.latency("l").unwrap();
+        assert_eq!(h.len(), 1_000_001);
+        assert_eq!(heap(&m), one);
+        assert!(one <= 8 * 1024, "{one} bytes per histogram");
+    }
+
+    #[test]
+    fn histogram_merge_adds() {
+        let samples = |range: std::ops::Range<u64>| {
+            let mut h = LatencyHistogram::new();
+            for us in range {
+                h.record(Duration::from_micros(us));
+            }
+            h
+        };
+        let mut a = samples(1..101);
+        let b = samples(101..301);
+        a.merge(&b);
+        assert_eq!(a, samples(1..301));
+        assert_eq!(a.len(), 300);
+        assert_eq!(a.max(), Duration::from_micros(300));
+        assert_eq!(a.mean(), Duration::from_nanos(150_500));
+    }
+
+    #[test]
+    fn histogram_quantiles_land_within_one_bucket_of_exact() {
+        let mut exact = crate::stats::Histogram::new();
+        let mut h = LatencyHistogram::new();
+        // A skewed spread from 1 µs to about 60 ms, like call latencies.
+        let mut x: u64 = 12345;
+        for _ in 0..20_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let nanos = 1_000 + (x >> 40) % 1_000_000 * (1 + (x >> 20) % 60);
+            exact.record(Duration::from_nanos(nanos));
+            h.record(Duration::from_nanos(nanos));
+        }
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            let want = exact.quantile(q).as_nanos() as u64;
+            let got = h.quantile(q).as_nanos() as u64;
+            let (bw, bg) = (bucket_of(want), bucket_of(got));
+            assert!(bw.abs_diff(bg) <= 1, "q={q}: exact {want} ns, got {got} ns");
+        }
+        assert_eq!(h.max(), exact.max());
+        assert_eq!(h.mean(), exact.mean());
+    }
+
+    #[test]
+    fn buckets_cover_the_range_in_order() {
+        let mut last = 0;
+        for nanos in [0, 1, 15, 16, 17, 31, 32, 1_000, 1 << 30, 1 << 40, u64::MAX] {
+            let idx = bucket_of(nanos);
+            assert!(idx >= last && idx < BUCKETS, "{nanos} -> {idx}");
+            let (low, width) = bucket_bounds(idx);
+            assert!(low <= nanos, "{nanos} below its bucket {idx}");
+            if idx < BUCKETS - 1 {
+                assert!(nanos - low < width, "{nanos} above its bucket {idx}");
+            }
+            last = idx;
+        }
     }
 
     #[test]

@@ -141,6 +141,11 @@ impl Outbox {
         self.timer_cancels.push(id);
     }
 
+    /// The `(delay, tag)` of every timer queued so far, in queue order.
+    pub fn pending_timers(&self) -> impl Iterator<Item = (Duration, u64)> + '_ {
+        self.timer_sets.iter().map(|&(_, delay, tag)| (delay, tag))
+    }
+
     /// True if no actions have been queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {

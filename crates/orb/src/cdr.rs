@@ -336,6 +336,13 @@ impl<'a> CdrDecoder<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
+    /// Reads a length-prefixed byte blob without copying it: the slice
+    /// borrows the decoder's buffer.
+    pub fn read_octets(&mut self) -> Result<&'a [u8], CdrError> {
+        let len = self.read_counted_len()?;
+        self.take(len)
+    }
+
     /// Reads a sequence length prefix.
     pub fn read_seq_len(&mut self) -> Result<usize, CdrError> {
         self.read_counted_len()
@@ -585,10 +592,13 @@ mod tests {
         let mut enc = CdrEncoder::new();
         enc.write_string("héllo");
         enc.write_bytes(&[9, 8, 7]);
+        enc.write_bytes(&[6, 5]);
         let b = enc.finish();
         let mut dec = CdrDecoder::new(&b);
         assert_eq!(dec.read_string().unwrap(), "héllo");
         assert_eq!(dec.read_bytes().unwrap(), vec![9, 8, 7]);
+        assert_eq!(dec.read_octets().unwrap(), &[6, 5]);
+        assert!(dec.read_octets().is_err());
     }
 
     #[test]

@@ -15,11 +15,21 @@
 //! on a second bounded queue; the sender rings the ingress queue's
 //! [`Waker`] after each, so a command wakes the loop at once too. The
 //! loop applies every message to the node's one protocol engine, on the
-//! loop thread. Applications drive the node
-//! through a [`NodeHandle`]: [`NodeHandle::with_nso`] runs a closure
-//! against the NSO inside the loop (so no locking is ever needed), and
-//! [`NodeHandle::outputs`] / [`NodeHandle::wait_for_output`] receive the
-//! NSO's outputs.
+//! loop thread.
+//!
+//! The send path batches by turn. Every GCS message a handler sends is
+//! staged, and [`Nso::flush_sends`] packs what is staged into one frame
+//! per destination. The loop flushes when a turn ends: before it blocks,
+//! when neither queue holds input, or once a turn has handled
+//! `MAX_TURN_INPUTS` (32) inputs, so a loaded node still sends. Packets,
+//! commands and due timers all count as inputs. An idle node therefore
+//! sends at once, and under load the messages of many inputs to one
+//! destination share a frame. No timer is involved.
+//!
+//! Applications drive the node through a [`NodeHandle`]:
+//! [`NodeHandle::with_nso`] runs a closure against the NSO inside the
+//! loop (so no locking is ever needed), and [`NodeHandle::outputs`] /
+//! [`NodeHandle::wait_for_output`] receive the NSO's outputs.
 //!
 //! ```
 //! use newtop_rt::{NodeRuntime, RuntimeOptions};
@@ -56,24 +66,13 @@ use newtop_net::site::NodeId;
 use newtop_net::time::SimTime;
 use newtop_net::transport::WireTransport;
 
-/// Construction options for [`NodeRuntime::spawn`]: flow bounds and
-/// send-path batching.
+/// Construction options for [`NodeRuntime::spawn`]: the flow bounds.
 ///
-/// The defaults are the production posture — batching on, default
-/// [`FlowConfig`] queue bounds.
-#[derive(Clone, Debug)]
+/// The defaults are the production posture: default [`FlowConfig`]
+/// queue bounds. Send-path batching is always on (see the crate docs).
+#[derive(Clone, Debug, Default)]
 pub struct RuntimeOptions {
-    batching: bool,
     flow: FlowConfig,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> Self {
-        RuntimeOptions {
-            batching: true,
-            flow: FlowConfig::default(),
-        }
-    }
 }
 
 impl RuntimeOptions {
@@ -81,14 +80,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn new() -> Self {
         RuntimeOptions::default()
-    }
-
-    /// Enables or disables send-path batching (packing small protocol
-    /// messages for one destination into one batch frame per flush).
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
-        self
     }
 
     /// Sets the flow configuration: the command/output/ingress queue
@@ -105,12 +96,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn shards(&self) -> usize {
         1
-    }
-
-    /// Whether send-path batching is enabled.
-    #[must_use]
-    pub fn batching(&self) -> bool {
-        self.batching
     }
 
     /// The configured flow bounds.
@@ -273,14 +258,7 @@ impl NodeRuntime {
         let join = std::thread::Builder::new()
             .name(format!("nso-{node}"))
             .spawn(move || {
-                event_loop(
-                    node,
-                    &transport,
-                    &opts,
-                    &mut inputs,
-                    &out_tx,
-                    &loop_send_errors,
-                );
+                event_loop(node, &transport, &mut inputs, &out_tx, &loop_send_errors);
             })
             .expect("failed to spawn node thread");
         NodeHandle {
@@ -313,6 +291,26 @@ enum Wakeup {
 }
 
 impl Inputs {
+    /// The next queued input, without waiting: control messages first.
+    fn try_next(&mut self) -> Option<Wakeup> {
+        match self.control.try_recv() {
+            Ok(msg) => return Some(Wakeup::Control(msg)),
+            Err(TryRecvError::Disconnected) => return Some(Wakeup::Closed),
+            Err(TryRecvError::Empty) => {}
+        }
+        if !self.packets_open {
+            return None;
+        }
+        match self.packets.try_recv() {
+            Ok(pkt) => Some(Wakeup::Packet(pkt)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => {
+                self.packets_open = false;
+                None
+            }
+        }
+    }
+
     /// Waits up to `timeout` for the next input. Queued control messages
     /// come first: there are few, and a caller blocks on each. Once the
     /// transport has dropped its end of the packet queue, the loop waits
@@ -362,106 +360,154 @@ impl Ord for TimerEntry {
     }
 }
 
+/// The most inputs (packets, commands, due timers) one event-loop turn
+/// handles before it flushes the node's staged sends. A turn normally
+/// ends when neither the packet queue nor the command queue holds input;
+/// this bound makes a node whose queues never drain still send every few
+/// dozen inputs, while a frame can carry the messages of many
+/// (DESIGN.md §10).
+const MAX_TURN_INPUTS: u32 = 32;
+
+/// The loop's node: the NSO plus what carries out its outboxes.
+struct Host<'a> {
+    nso: Nso,
+    start: Instant,
+    transport: &'a dyn WireTransport,
+    outputs: &'a Sender<NsoOutput>,
+    send_errors: &'a AtomicU64,
+    timers: BinaryHeap<Reverse<TimerEntry>>,
+    cancelled: HashSet<TimerId>,
+    next_outbox_timer: u64,
+    timer_seq: u64,
+    /// Inputs handled since the last flush.
+    turn_inputs: u32,
+}
+
+impl Host<'_> {
+    /// Runs one input against the NSO, carries out its outbox and
+    /// forwards its outputs; flushes staged sends when the turn is full.
+    fn input(&mut self, f: impl FnOnce(&mut Nso, SimTime, &mut Outbox)) {
+        self.run(f);
+        self.turn_inputs += 1;
+        if self.turn_inputs >= MAX_TURN_INPUTS {
+            self.end_turn();
+        }
+    }
+
+    /// Ends the turn: everything staged since the last flush leaves now,
+    /// packed per destination.
+    fn end_turn(&mut self) {
+        self.turn_inputs = 0;
+        if self.nso.has_staged_sends() {
+            self.run(|nso, _, out| nso.flush_sends(out));
+        }
+    }
+
+    fn run(&mut self, f: impl FnOnce(&mut Nso, SimTime, &mut Outbox)) {
+        let mut out = Outbox::detached(self.next_outbox_timer);
+        let now = SimTime::from_nanos(self.start.elapsed().as_nanos() as u64);
+        f(&mut self.nso, now, &mut out);
+        self.apply(out);
+        drain_outputs(&mut self.nso, self.outputs);
+    }
+
+    fn apply(&mut self, out: Outbox) {
+        let parts = out.into_parts();
+        for id in parts.timer_cancels {
+            self.cancelled.insert(id);
+        }
+        let now = Instant::now();
+        for (id, delay, tag) in parts.timer_sets {
+            if self.cancelled.remove(&id) {
+                continue;
+            }
+            self.timer_seq += 1;
+            self.timers.push(Reverse(TimerEntry {
+                deadline: now + delay,
+                seq: self.timer_seq,
+                id,
+                tag,
+            }));
+        }
+        for (dst, payload) in parts.sends {
+            // The protocol layers recover a lost frame via NACKs and
+            // suspicion, so a failed send is counted, not retried here.
+            if self.transport.send(dst, payload).is_err() {
+                self.send_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.next_outbox_timer = parts.next_timer;
+    }
+
+    /// Fires the timers due now, each as one input. Timers they set wait
+    /// for the next pass, even when already due.
+    fn fire_due_timers(&mut self) {
+        let now = Instant::now();
+        let mut due = Vec::new();
+        while let Some(Reverse(head)) = self.timers.peek() {
+            if head.deadline > now {
+                break;
+            }
+            let Some(Reverse(entry)) = self.timers.pop() else {
+                break;
+            };
+            if !self.cancelled.remove(&entry.id) {
+                due.push(entry.tag);
+            }
+        }
+        for tag in due {
+            self.input(|nso, now, out| nso.on_timer(tag, now, out));
+        }
+    }
+
+    /// How long the loop may block: until the next timer is due.
+    fn timeout(&self) -> Duration {
+        self.timers.peek().map_or(Duration::MAX, |Reverse(t)| {
+            t.deadline.saturating_duration_since(Instant::now())
+        })
+    }
+}
+
 fn event_loop(
     node: NodeId,
     transport: &dyn WireTransport,
-    opts: &RuntimeOptions,
     inputs: &mut Inputs,
     outputs: &Sender<NsoOutput>,
     send_errors: &AtomicU64,
 ) {
-    let start = Instant::now();
-    let mut nso = Nso::with_options(node, NsoOptions::new().with_batching(opts.batching));
-    let mut timers: BinaryHeap<Reverse<TimerEntry>> = BinaryHeap::new();
-    let mut cancelled: HashSet<TimerId> = HashSet::new();
-    let mut next_outbox_timer: u64 = 0;
-    let mut timer_seq: u64 = 0;
-
-    let now = |start: Instant| SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-
+    let mut host = Host {
+        nso: Nso::with_options(node, NsoOptions::batched()),
+        start: Instant::now(),
+        transport,
+        outputs,
+        send_errors,
+        timers: BinaryHeap::new(),
+        cancelled: HashSet::new(),
+        next_outbox_timer: 0,
+        timer_seq: 0,
+        turn_inputs: 0,
+    };
     loop {
-        // Fire due timers.
-        let mut due: Vec<(TimerId, u64)> = Vec::new();
-        let instant_now = Instant::now();
-        while let Some(Reverse(head)) = timers.peek() {
-            if head.deadline > instant_now {
-                break;
+        host.fire_due_timers();
+        let wakeup = match inputs.try_next() {
+            Some(wakeup) => wakeup,
+            None => {
+                // Nothing is queued: the turn ends before the loop
+                // blocks, so an idle node sends at once.
+                host.end_turn();
+                inputs.next(host.timeout())
             }
-            let Reverse(entry) = timers.pop().expect("peeked");
-            if !cancelled.remove(&entry.id) {
-                due.push((entry.id, entry.tag));
+        };
+        match wakeup {
+            Wakeup::Packet(pkt) => host.input(|nso, now, out| nso.on_packet(&pkt, now, out)),
+            Wakeup::Control(Control::Run(cmd)) => host.input(cmd),
+            Wakeup::Poll => {}
+            Wakeup::Control(Control::Stop) | Wakeup::Closed => {
+                host.end_turn();
+                return;
             }
         }
-        for (_, tag) in due {
-            let mut out = Outbox::detached(next_outbox_timer);
-            nso.on_timer(tag, now(start), &mut out);
-            next_outbox_timer = apply_outbox(
-                transport,
-                &mut timers,
-                &mut cancelled,
-                &mut timer_seq,
-                send_errors,
-                out,
-            );
-            drain_outputs(&mut nso, outputs);
-        }
-
-        // Sleep until the next input, or until the next timer is due.
-        let timeout = timers.peek().map_or(Duration::MAX, |Reverse(t)| {
-            t.deadline.saturating_duration_since(Instant::now())
-        });
-        let mut out = Outbox::detached(next_outbox_timer);
-        match inputs.next(timeout) {
-            Wakeup::Packet(pkt) => nso.on_packet(&pkt, now(start), &mut out),
-            Wakeup::Control(Control::Run(cmd)) => cmd(&mut nso, now(start), &mut out),
-            Wakeup::Poll => continue,
-            Wakeup::Control(Control::Stop) | Wakeup::Closed => return,
-        }
-        next_outbox_timer = apply_outbox(
-            transport,
-            &mut timers,
-            &mut cancelled,
-            &mut timer_seq,
-            send_errors,
-            out,
-        );
-        drain_outputs(&mut nso, outputs);
     }
-}
-
-fn apply_outbox(
-    transport: &dyn WireTransport,
-    timers: &mut BinaryHeap<Reverse<TimerEntry>>,
-    cancelled: &mut HashSet<TimerId>,
-    timer_seq: &mut u64,
-    send_errors: &AtomicU64,
-    out: Outbox,
-) -> u64 {
-    let parts = out.into_parts();
-    for id in parts.timer_cancels {
-        cancelled.insert(id);
-    }
-    let now = Instant::now();
-    for (id, delay, tag) in parts.timer_sets {
-        if cancelled.remove(&id) {
-            continue;
-        }
-        *timer_seq += 1;
-        timers.push(Reverse(TimerEntry {
-            deadline: now + delay,
-            seq: *timer_seq,
-            id,
-            tag,
-        }));
-    }
-    for (dst, payload) in parts.sends {
-        // The protocol layers recover a lost frame via NACKs and
-        // suspicion, so a failed send is counted, not retried here.
-        if transport.send(dst, payload).is_err() {
-            send_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    parts.next_timer
 }
 
 fn drain_outputs(nso: &mut Nso, outputs: &Sender<NsoOutput>) {

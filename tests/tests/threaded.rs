@@ -1,16 +1,19 @@
 //! The threaded runtime over real transports: the same NSO state machines
 //! exercised with actual threads, wall-clock timers, and TCP sockets.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 
 use newtop::nso::{BindOptions, GroupHandle, NsoOutput};
-use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId};
+use newtop_gcs::group::{DeliveryOrder, GroupConfig, GroupId, Liveness};
 use newtop_invocation::api::{OpenOptimisation, Replication, ReplyMode};
 use newtop_net::channel::ChannelNetwork;
 use newtop_net::site::NodeId;
 use newtop_net::tcp::TcpEndpoint;
+use newtop_net::transport::{TransportError, WireTransport};
 use newtop_rt::{NodeHandle, NodeRuntime, RuntimeOptions};
 
 fn spawn_channel_cluster(n: usize) -> Vec<NodeHandle> {
@@ -149,8 +152,31 @@ fn request_reply_over_real_tcp_sockets() {
     }
 }
 
+/// A transport that counts the frames it sends.
+struct Counted<T> {
+    inner: T,
+    frames: Arc<AtomicU64>,
+}
+
+impl<T: WireTransport> WireTransport for Counted<T> {
+    fn local(&self) -> NodeId {
+        self.inner.local()
+    }
+
+    fn send(&self, dst: NodeId, payload: Bytes) -> Result<(), TransportError> {
+        self.frames.fetch_add(1, Ordering::Relaxed);
+        self.inner.send(dst, payload)
+    }
+}
+
 /// Spawns `n` nodes over loopback TCP, every node knowing every other.
 fn spawn_tcp_cluster(n: u32) -> (Vec<NodeHandle>, Vec<TcpEndpoint>) {
+    let (nodes, endpoints, _) = spawn_counted_tcp_cluster(n);
+    (nodes, endpoints)
+}
+
+/// Like [`spawn_tcp_cluster`], plus each node's count of frames sent.
+fn spawn_counted_tcp_cluster(n: u32) -> (Vec<NodeHandle>, Vec<TcpEndpoint>, Vec<Arc<AtomicU64>>) {
     let ids: Vec<NodeId> = (0..n).map(NodeId::from_index).collect();
     let mut endpoints = Vec::new();
     let mut rxs = Vec::new();
@@ -167,12 +193,196 @@ fn spawn_tcp_cluster(n: u32) -> (Vec<NodeHandle>, Vec<TcpEndpoint>) {
             ep.register_peer(id, addr);
         }
     }
+    let frames: Vec<Arc<AtomicU64>> = ids.iter().map(|_| Arc::default()).collect();
     let nodes = endpoints
         .iter()
         .zip(rxs)
-        .map(|(ep, rx)| NodeRuntime::spawn(ep.handle(), rx, RuntimeOptions::new()))
+        .zip(&frames)
+        .map(|((ep, rx), frames)| {
+            let transport = Counted {
+                inner: ep.handle(),
+                frames: Arc::clone(frames),
+            };
+            NodeRuntime::spawn(transport, rx, RuntimeOptions::new())
+        })
         .collect();
-    (nodes, endpoints)
+    (nodes, endpoints, frames)
+}
+
+fn shutdown(nodes: Vec<NodeHandle>, endpoints: Vec<TcpEndpoint>) {
+    for n in nodes {
+        n.shutdown();
+    }
+    for mut ep in endpoints {
+        ep.shutdown();
+    }
+}
+
+/// Creates an event-driven peer group of `members` (the first nodes of
+/// `nodes`), which falls quiet once its traffic stops.
+fn create_quiet_peer_group(nodes: &[NodeHandle], members: &[NodeId], group: &GroupId) {
+    for handle in &nodes[..members.len()] {
+        let group = group.clone();
+        let members = members.to_vec();
+        handle.with_nso(move |nso, now, out| {
+            let config = GroupConfig::peer().with_liveness(Liveness::EventDriven);
+            nso.create_peer_group(group, members, config, now, out)
+                .unwrap();
+        });
+    }
+}
+
+/// Multicasts sent back to back in one command share the turn that ran
+/// the command, so each destination gets them in fewer frames than
+/// messages, and they still arrive in send order.
+#[test]
+fn burst_of_multicasts_leaves_in_fewer_frames_than_messages() {
+    let (nodes, endpoints, frames) = spawn_counted_tcp_cluster(3);
+    let members: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+    let group = GroupId::new("burst");
+    create_quiet_peer_group(&nodes, &members, &group);
+    // Let the group's creation traffic settle.
+    std::thread::sleep(Duration::from_millis(300));
+    const BURST: u32 = 16;
+    let sender = &nodes[0];
+    let before = sender.with_nso(|nso, _, _| nso.metrics());
+    let frames_before = frames[0].load(Ordering::Relaxed);
+    let g = group.clone();
+    sender.with_nso(move |nso, now, out| {
+        let peer = nso.handle_for(&g).unwrap();
+        for i in 0..BURST {
+            let payload = Bytes::from(i.to_be_bytes().to_vec());
+            peer.send(nso, payload, DeliveryOrder::Total, now, out)
+                .unwrap();
+        }
+    });
+    for handle in &nodes {
+        for i in 0..BURST {
+            let o = handle
+                .wait_for_output(Duration::from_secs(15), |o| {
+                    matches!(o, NsoOutput::PeerDeliver { .. })
+                })
+                .unwrap_or_else(|| panic!("{}: multicast {i} not delivered", handle.node()));
+            let NsoOutput::PeerDeliver { payload, .. } = o else {
+                unreachable!()
+            };
+            assert_eq!(payload[..], i.to_be_bytes(), "{}", handle.node());
+        }
+    }
+    let after = sender.with_nso(|nso, _, _| nso.metrics());
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    let sent_frames = frames[0].load(Ordering::Relaxed) - frames_before;
+    assert!(delta("gcs.batch_frames") > 0, "no batch frame sent");
+    assert!(delta("gcs.batch_msgs") >= u64::from(BURST));
+    // Two remote members receive every multicast (the loopback copy
+    // goes over TCP too); acknowledgements and order traffic that
+    // followed are counted in both totals.
+    assert!(
+        sent_frames < delta("gcs.msgs_sent"),
+        "{sent_frames} frames for {} messages",
+        delta("gcs.msgs_sent")
+    );
+    shutdown(nodes, endpoints);
+}
+
+/// A lone call leaves without waiting for any timer: the request sits in
+/// the send buffer only until the turn that issued it ends, and the
+/// invoke queues no timer shorter than the group's time-silence period
+/// (the liveness timers), so nothing else could release it.
+#[test]
+fn lone_call_completes_with_no_send_path_timer() {
+    let (nodes, endpoints) = spawn_tcp_cluster(4);
+    let servers: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+    let group = GroupId::new("tcp-lone");
+    setup_service(&nodes, &servers, &group);
+    let client = &nodes[3];
+    let g = group.clone();
+    let opts = BindOptions::closed(servers);
+    let time_silence = opts.time_silence;
+    let binding = client.with_nso(move |nso, now, out| nso.bind(g, opts, now, out).unwrap());
+    client
+        .wait_for_output(Duration::from_secs(15), |o| {
+            matches!(o, NsoOutput::BindingReady { .. })
+        })
+        .expect("binding established");
+    for i in 0..3 {
+        let b = binding.clone();
+        let (call, staged, timers) = client.with_nso(move |nso, now, out| {
+            let call = b
+                .invoke(nso, "call", Bytes::new(), ReplyMode::All, now, out)
+                .unwrap();
+            let timers: Vec<(Duration, u64)> = out.pending_timers().collect();
+            (call, nso.has_staged_sends(), timers)
+        });
+        assert!(staged, "call {i}: the request was not staged");
+        for (delay, tag) in timers {
+            assert!(
+                delay >= time_silence,
+                "call {i}: the invoke queued a {delay:?} timer (tag {tag:#x})"
+            );
+        }
+        let done = client
+            .wait_for_output(
+                Duration::from_secs(5),
+                |o| matches!(o, NsoOutput::InvocationComplete { call: c, .. } if *c == call),
+            )
+            .unwrap_or_else(|| panic!("call {i} did not complete"));
+        let NsoOutput::InvocationComplete { replies, .. } = done else {
+            unreachable!()
+        };
+        assert_eq!(replies.len(), 3, "call {i}");
+    }
+    shutdown(nodes, endpoints);
+}
+
+/// Once a node's loop has nothing left to handle, it has flushed: no
+/// send stays staged on any node of a cluster gone quiet after a call
+/// and a multicast burst.
+#[test]
+fn nothing_stays_staged_once_the_loop_is_idle() {
+    let (nodes, endpoints) = spawn_tcp_cluster(4);
+    let servers: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+    let service = GroupId::new("tcp-idle-svc");
+    setup_service(&nodes, &servers, &service);
+    assert_eq!(
+        bind_and_invoke(&nodes[3], &service, servers.clone(), false),
+        3
+    );
+    let peers = GroupId::new("tcp-idle-peers");
+    create_quiet_peer_group(&nodes, &servers, &peers);
+    for handle in &nodes[..3] {
+        let g = peers.clone();
+        handle.with_nso(move |nso, now, out| {
+            let peer = nso.handle_for(&g).unwrap();
+            for _ in 0..4 {
+                peer.send(
+                    nso,
+                    Bytes::from_static(b"x"),
+                    DeliveryOrder::Total,
+                    now,
+                    out,
+                )
+                .unwrap();
+            }
+        });
+    }
+    for handle in &nodes[..3] {
+        for _ in 0..12 {
+            handle
+                .wait_for_output(Duration::from_secs(15), |o| {
+                    matches!(o, NsoOutput::PeerDeliver { .. })
+                })
+                .expect("peer delivery");
+        }
+    }
+    // Past every event-driven group's linger: the cluster is quiet, so
+    // each loop is blocked and the command below starts a fresh turn.
+    std::thread::sleep(Duration::from_secs(1));
+    for handle in &nodes {
+        let staged = handle.with_nso(|nso, _, _| nso.has_staged_sends());
+        assert!(!staged, "{} kept sends staged while idle", handle.node());
+    }
+    shutdown(nodes, endpoints);
 }
 
 /// A lone client's closed binding to three replicas over TCP: four flow
